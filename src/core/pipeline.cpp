@@ -336,12 +336,21 @@ compose::CompositeStats ParallelVolumeRenderer::model_composite_configured(
 }
 
 FrameStats ParallelVolumeRenderer::model_frame() {
-  if (config_.runtime_mode == runtime::RuntimeMode::kAsync &&
-      config_.dependency == runtime::DependencyMode::kFree) {
-    return model_frame_async(nullptr, /*insitu=*/false,
-                             /*readahead_seconds=*/0.0);
-  }
-  return model_frame_superstep(nullptr, /*insitu=*/false);
+  return model_frame_stages(nullptr, /*insitu=*/false,
+                            /*readahead_seconds=*/0.0);
+}
+
+FrameStats ParallelVolumeRenderer::model_frame_with_faults(
+    const fault::FaultPlan& plan) {
+  if (plan.empty()) return model_frame();
+  return model_frame_stages(&plan, /*insitu=*/false,
+                            /*readahead_seconds=*/0.0);
+}
+
+FrameStats ParallelVolumeRenderer::model_insitu_frame() {
+  // No I/O stage: the simulation's data is already in each rank's memory.
+  return model_frame_stages(nullptr, /*insitu=*/true,
+                            /*readahead_seconds=*/0.0);
 }
 
 namespace {
@@ -363,12 +372,28 @@ class FaultScope {
   runtime::Runtime* rt_;
 };
 
-// --- Async task-graph assembly (DESIGN.md §9). One modeled frame becomes a
+/// One modeled frame priced stage by stage. The *_seconds fields of `stats`
+/// hold the BSP sum — every stage a barrier, paid in full — which is the
+/// whole reduction under RuntimeMode::kBsp.
+struct StageCosts {
+  FrameStats stats;
+  bool has_io = false;
+  bool has_steal = false;  ///< a non-empty steal schedule ran
+  /// I/O fetch seconds hidden under the previous frame (model_run).
+  double readahead_credit = 0.0;
+  /// Task-graph inputs, filled only under kAsync: a BSP frame pays for
+  /// neither the per-rank render times nor the direct-send message detail.
+  std::vector<double> rank_render;  ///< per rank (imbalance included)
+  std::vector<char> live;           ///< render task created iff live[r]
+  compose::DirectSendDetail detail;
+};
+
+// --- Async task-graph reduction (DESIGN.md §9). One modeled frame becomes a
 // DAG: the collective read and the steal gate on the shared machine lane,
 // one render task per live rank on its own lane, and one composite task per
 // compositor rank depending on exactly the renderers that feed it (kFree) or
 // on a zero-duration barrier over every renderer (kChained — the BSP
-// reproduction). Critical-path segments by tag give the frame's async stage
+// reproduction). Critical-path segments by tag give the frame's stage
 // charges. ---
 
 constexpr std::int32_t kTagIo = 0;
@@ -376,19 +401,6 @@ constexpr std::int32_t kTagSteal = 1;
 constexpr std::int32_t kTagRender = 2;
 constexpr std::int32_t kTagComposite = 3;
 constexpr std::int32_t kTagBarrier = 4;  ///< zero-duration fan-in (kChained)
-
-struct AsyncInputs {
-  bool has_io = false;
-  double io_seconds = 0.0;
-  bool has_steal = false;
-  double steal_seconds = 0.0;
-  std::vector<double> render_seconds;  ///< per rank (imbalance included)
-  std::vector<char> live;              ///< render task created iff live[r]
-  double exchange_seconds = 0.0;       ///< per-compositor exchange term
-  std::vector<double> blend_seconds;   ///< per dst rank
-  const compose::DirectSendDetail* detail = nullptr;
-  bool chained = false;
-};
 
 struct AsyncChain {
   runtime::TaskSchedule sched;
@@ -404,15 +416,19 @@ struct AsyncChain {
   std::int64_t composite_rank = -1;  ///< lane of the chain's composite task
 };
 
-AsyncChain schedule_async_frame(const AsyncInputs& in,
+/// Builds and schedules the frame's task graph. Each compositor pays
+/// `exchange_seconds` plus its own blend.
+AsyncChain schedule_async_frame(const StageCosts& in, double exchange_seconds,
+                                double blends_per_second, bool chained,
                                 std::int64_t num_ranks) {
   runtime::TaskGraph graph(num_ranks);
-  runtime::TaskId io_task = -1;
-  if (in.has_io) io_task = graph.add("io", -1, in.io_seconds, kTagIo, {});
   std::vector<runtime::TaskId> pre;
-  if (io_task >= 0) pre.push_back(io_task);
+  if (in.has_io) {
+    pre.push_back(graph.add("io", -1, in.stats.io_seconds, kTagIo, {}));
+  }
   if (in.has_steal) {
-    pre = {graph.add("steal", -1, in.steal_seconds, kTagSteal, pre)};
+    pre = {graph.add("steal", -1, in.stats.steal.steal_seconds, kTagSteal,
+                     pre)};
   }
   std::vector<runtime::TaskId> render_task(std::size_t(num_ranks), -1);
   std::vector<runtime::TaskId> renders;
@@ -420,37 +436,36 @@ AsyncChain schedule_async_frame(const AsyncInputs& in,
     if (!in.live[std::size_t(r)]) continue;
     render_task[std::size_t(r)] =
         graph.add("render." + std::to_string(r), r,
-                  in.render_seconds[std::size_t(r)], kTagRender, pre);
+                  in.rank_render[std::size_t(r)], kTagRender, pre);
     renders.push_back(render_task[std::size_t(r)]);
   }
   // kChained funnels every composite through one fan-in task instead of
   // all-to-all barrier edges, keeping the chained graph O(ranks) edges.
   std::vector<runtime::TaskId> barrier;
-  if (in.chained) {
+  if (chained) {
     barrier = {graph.add("render.barrier", -1, 0.0, kTagBarrier,
                          renders.empty() ? pre : renders)};
   }
-  if (in.detail != nullptr) {
-    for (std::int64_t c = 0; c < num_ranks; ++c) {
-      const std::vector<std::int64_t>& srcs =
-          in.detail->sources[std::size_t(c)];
-      if (srcs.empty()) continue;
-      std::vector<runtime::TaskId> deps;
-      if (in.chained) {
-        deps = barrier;
-      } else {
-        deps.reserve(srcs.size());
-        for (const std::int64_t s : srcs) {
-          // Dead renderers were filtered from the message set, so every
-          // source of a delivered fragment has a render task.
-          PVR_ASSERT(render_task[std::size_t(s)] >= 0);
-          deps.push_back(render_task[std::size_t(s)]);
-        }
+  for (std::int64_t c = 0; c < num_ranks; ++c) {
+    const std::vector<std::int64_t>& srcs = in.detail.sources[std::size_t(c)];
+    if (srcs.empty()) continue;
+    std::vector<runtime::TaskId> deps;
+    if (chained) {
+      deps = barrier;
+    } else {
+      deps.reserve(srcs.size());
+      for (const std::int64_t s : srcs) {
+        // Dead renderers were filtered from the message set, so every
+        // source of a delivered fragment has a render task.
+        PVR_ASSERT(render_task[std::size_t(s)] >= 0);
+        deps.push_back(render_task[std::size_t(s)]);
       }
-      graph.add("composite." + std::to_string(c), c,
-                in.exchange_seconds + in.blend_seconds[std::size_t(c)],
-                kTagComposite, std::move(deps));
     }
+    graph.add("composite." + std::to_string(c), c,
+              exchange_seconds +
+                  double(in.detail.blend_pixels[std::size_t(c)]) /
+                      blends_per_second,
+              kTagComposite, std::move(deps));
   }
 
   AsyncChain out;
@@ -476,200 +491,74 @@ AsyncChain schedule_async_frame(const AsyncInputs& in,
   return out;
 }
 
+/// Overlapped semantics: dependency-priced traffic pays routing,
+/// serialization, and contention, never the barrier-close skew.
+double overlapped_seconds(const net::ExchangeCost& cost) {
+  return cost.seconds - cost.skew_seconds;
+}
+
+/// The graph reducer: charges the frame its critical path, stage by stage.
+/// Chained, that path is the BSP schedule itself. Free, it keeps only true
+/// dependencies: every term is <= its BSP term and FP addition is
+/// monotone, so reclaimed >= 0 bitwise.
+void charge_critical_path(const AsyncChain& chain, bool free_run,
+                          double blends_per_second, StageCosts* costs) {
+  FrameStats& stats = costs->stats;
+  runtime::OverlapStats& async = stats.async;
+  async.enabled = true;
+  async.dependency = free_run ? runtime::DependencyMode::kFree
+                              : runtime::DependencyMode::kChained;
+  async.tasks = chain.tasks;
+  async.edges = chain.edges;
+  async.lane_wait_seconds = chain.sched.lane_wait_seconds;
+  async.readahead_seconds = costs->readahead_credit;
+  async.bsp_seconds =
+      stats.io.seconds + stats.render_seconds + stats.composite.seconds;
+  stats.io_seconds = chain.io_seg;
+  stats.steal.steal_seconds = chain.steal_seg;
+  stats.render.seconds = chain.render_seg;
+  stats.render_seconds = stats.render.seconds + stats.steal.steal_seconds;
+  if (free_run) {
+    // The chain's renderer and compositor replace the global stragglers;
+    // message counts and wire bytes (the physical facts) keep their
+    // full-frame values.
+    if (chain.render_rank >= 0) {
+      stats.render.straggler_rank = chain.render_rank;
+    }
+    const bool composites = chain.composite_rank >= 0;
+    net::ExchangeCost& exchange = stats.composite.exchange;
+    exchange.seconds = composites ? overlapped_seconds(exchange) : 0.0;
+    exchange.skew_seconds = 0.0;
+    stats.composite.blend_seconds =
+        composites ? double(costs->detail.blend_pixels[std::size_t(
+                         chain.composite_rank)]) /
+                         blends_per_second
+                   : 0.0;
+  }
+  stats.composite.seconds = chain.composite_seg;
+  stats.composite_seconds = stats.composite.seconds;
+  async.reclaimed_seconds = async.bsp_seconds - stats.total_seconds();
+}
+
 }  // namespace
 
-FrameStats ParallelVolumeRenderer::model_frame_with_faults(
-    const fault::FaultPlan& plan) {
-  if (plan.empty()) return model_frame();
-  if (config_.runtime_mode == runtime::RuntimeMode::kAsync &&
-      config_.dependency == runtime::DependencyMode::kFree) {
-    return model_frame_async(&plan, /*insitu=*/false,
-                             /*readahead_seconds=*/0.0);
-  }
-  return model_frame_superstep(&plan, /*insitu=*/false);
-}
-
-FrameStats ParallelVolumeRenderer::model_frame_superstep(
-    const fault::FaultPlan* plan, bool insitu) {
-  runtime::Runtime& rt = model_rt();
-  const bool faulty = plan != nullptr;
-  const bool want_graph =
-      config_.runtime_mode == runtime::RuntimeMode::kAsync;
-  FrameStats stats;
-  std::optional<FaultScope> scope;
-  if (faulty) {
-    stats.faults = plan->census();
-    scope.emplace(rt, *plan, &stats.faults);
-  }
-
-  obs::ScopedSpan frame(tracer_, "frame", obs::Category::kFrame);
-  if (faulty && tracer_ != nullptr) {
-    tracer_->instant(
-        "fault.plan_armed", obs::Category::kFault,
-        {{"failed_nodes", double(stats.faults.failed_nodes)},
-         {"failed_links", double(stats.faults.failed_links)},
-         {"failed_ions", double(stats.faults.failed_ions)},
-         {"failed_servers", double(stats.faults.failed_servers)},
-         {"degraded_servers", double(stats.faults.degraded_servers)}});
-  }
-
-  // --- Stage 1: collective read; dead ranks request nothing. In-situ
-  // frames skip the stage entirely. ---
-  if (!insitu) {
-    obs::ScopedSpan stage(tracer_, "stage.io", obs::Category::kIo);
-    if (!faulty) {
-      stats.io = model_io();
-    } else {
-      auto blocks = io_blocks();
-      const std::size_t before = blocks.size();
-      std::erase_if(blocks, [&](const iolib::RankBlock& b) {
-        return plan->rank_failed(b.rank, *partition_);
-      });
-      stats.faults.dropped_blocks += std::int64_t(before - blocks.size());
-      if (tracer_ != nullptr && before != blocks.size()) {
-        tracer_->instant("fault.blocks_dropped", obs::Category::kFault,
-                         {{"blocks", double(before - blocks.size())}});
-      }
-      iolib::CollectiveReader reader(rt, *storage_, config_.hints);
-      stats.io = reader.read(*layout_, variable_, blocks, nullptr, {});
-    }
-    stats.io_seconds = stats.io.seconds;
-  }
-
-  // --- Stage 2: dead ranks render nothing; degraded-but-alive ranks render
-  // slower; the straggler is the worst weighted live rank. With stealing
-  // enabled, live idle ranks first claim scanline chunks from the slowest
-  // live ranks (dead ranks are neither victims nor thieves), so the
-  // straggler term shrinks to the post-schedule worst. ---
-  std::function<double(std::int64_t)> slowdown;
-  if (faulty) {
-    slowdown = [this, plan](std::int64_t rank) {
-      if (plan->rank_failed(rank, *partition_)) return 0.0;
-      return plan->rank_degrade(rank, *partition_);
-    };
-  }
-  steal::StealSchedule sched;
-  std::vector<double> rank_render;
-  {
-    obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
-    const render::RenderModel rmodel(config_.machine);
-    stats.render = rmodel.estimate_degraded(*decomp_, config_.num_ranks,
-                                            camera_, config_.render, slowdown);
-    if (config_.steal.enabled()) {
-      sched = steal_stage(rt, slowdown, &stats);
-      if (!sched.empty()) {
-        stats.render.max_rank_samples = sched.max_rank_samples_after;
-        stats.render.seconds = sched.worst_after_seconds *
-                               (1.0 + config_.machine.render_imbalance);
-        stats.render.straggler_rank = sched.worst_after_rank;
-      }
-    }
-    stats.render_seconds = stats.render.seconds + stats.steal.steal_seconds;
-    if (tracer_ != nullptr) {
-      stage.arg("total_samples", double(stats.render.total_samples));
-      stage.arg("max_rank_samples", double(stats.render.max_rank_samples));
-      stage.arg("ranks", double(config_.num_ranks));
-      stage.arg("straggler_rank", double(stats.render.straggler_rank));
-      tracer_->advance(stats.render.seconds);
-    }
-    if (want_graph) {
-      if (!sched.empty()) {
-        rank_render.resize(sched.rank_seconds_after.size());
-        for (std::size_t r = 0; r < rank_render.size(); ++r) {
-          rank_render[r] = sched.rank_seconds_after[r] *
-                           (1.0 + config_.machine.render_imbalance);
-        }
-      } else {
-        rank_render = rmodel.rank_seconds(*decomp_, config_.num_ranks,
-                                          camera_, config_.render, slowdown);
-      }
-    }
-  }
-
-  // --- Stage 3: the configured compositor reads the fault state from the
-  // runtime — direct-send reassigns dead tiles, binary swap and radix-k
-  // substitute live proxies for dead partners; all report coverage. ---
-  compose::DirectSendDetail detail;
-  {
-    obs::ScopedSpan stage(tracer_, "stage.composite",
-                          obs::Category::kComposite);
-    stats.composite = model_composite_configured(want_graph ? &detail
-                                                            : nullptr);
-    stats.composite_seconds = stats.composite.seconds;
-  }
-  if (faulty && tracer_ != nullptr) {
-    tracer_->instant("fault.recovery_complete", obs::Category::kFault,
-                     {{"retries", double(stats.faults.retries)},
-                      {"coverage", stats.faults.coverage}});
-  }
-
-  if (want_graph) {
-    // kChained (kFree never reaches the superstep): build the barrier-edged
-    // graph and assert — exact floating-point equality — that its critical
-    // path reproduces the superstep stage times. This is the determinism
-    // anchor of DESIGN.md §9: the async scheduler with explicit barrier
-    // dependencies IS the BSP schedule, bit for bit.
-    AsyncInputs in;
-    in.has_io = !insitu;
-    in.io_seconds = stats.io_seconds;
-    in.has_steal = !sched.empty();
-    in.steal_seconds = stats.steal.steal_seconds;
-    in.render_seconds = std::move(rank_render);
-    in.live.assign(std::size_t(config_.num_ranks), 1);
-    if (faulty) {
-      for (std::int64_t r = 0; r < config_.num_ranks; ++r) {
-        in.live[std::size_t(r)] = slowdown(r) > 0.0 ? 1 : 0;
-      }
-    }
-    in.exchange_seconds = stats.composite.exchange.seconds;
-    const double bps = partition_->config().blends_per_second;
-    in.blend_seconds.resize(detail.blend_pixels.size());
-    for (std::size_t c = 0; c < detail.blend_pixels.size(); ++c) {
-      in.blend_seconds[c] = double(detail.blend_pixels[c]) / bps;
-    }
-    in.detail = &detail;
-    in.chained = true;
-    const AsyncChain chain = schedule_async_frame(in, config_.num_ranks);
-    PVR_REQUIRE(chain.io_seg == stats.io_seconds,
-                "chained async graph must reproduce the BSP io stage "
-                "bitwise");
-    PVR_REQUIRE(chain.steal_seg == stats.steal.steal_seconds,
-                "chained async graph must reproduce the BSP steal phase "
-                "bitwise");
-    PVR_REQUIRE(chain.render_seg == stats.render.seconds,
-                "chained async graph must reproduce the BSP render stage "
-                "bitwise");
-    PVR_REQUIRE(chain.composite_seg == stats.composite.seconds,
-                "chained async graph must reproduce the BSP composite stage "
-                "bitwise");
-    stats.async.enabled = true;
-    stats.async.dependency = runtime::DependencyMode::kChained;
-    stats.async.tasks = chain.tasks;
-    stats.async.edges = chain.edges;
-    stats.async.bsp_seconds = stats.total_seconds();
-    stats.async.reclaimed_seconds = 0.0;
-    stats.async.lane_wait_seconds = chain.sched.lane_wait_seconds;
-  }
-
-  if (tracer_ != nullptr) {
-    stats.trace = obs::summarize_frame(*tracer_, frame.close());
-  }
-  return stats;
-}
-
-FrameStats ParallelVolumeRenderer::model_frame_async(
+FrameStats ParallelVolumeRenderer::model_frame_stages(
     const fault::FaultPlan* plan, bool insitu, double readahead_seconds) {
   runtime::Runtime& rt = model_rt();
-  const bool faulty = plan != nullptr;
-  FrameStats stats;
+  const bool graph = config_.runtime_mode == runtime::RuntimeMode::kAsync;
+  const bool free_run =
+      graph && config_.dependency == runtime::DependencyMode::kFree;
+  const double bps = partition_->config().blends_per_second;
+  StageCosts costs;
+  FrameStats& stats = costs.stats;
   std::optional<FaultScope> scope;
-  if (faulty) {
+  if (plan != nullptr) {
     stats.faults = plan->census();
     scope.emplace(rt, *plan, &stats.faults);
   }
 
   obs::ScopedSpan frame(tracer_, "frame", obs::Category::kFrame);
-  if (faulty && tracer_ != nullptr) {
+  if (plan != nullptr && tracer_ != nullptr) {
     tracer_->instant(
         "fault.plan_armed", obs::Category::kFault,
         {{"failed_nodes", double(stats.faults.failed_nodes)},
@@ -679,15 +568,16 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
          {"degraded_servers", double(stats.faults.degraded_servers)}});
   }
 
-  // --- Stage 1: collective read. Under a read-ahead window (model_run),
-  // frame t+1's storage fetch was issued while frame t composited, so this
-  // frame is charged only the unhidden remainder — reclaimed overlap that
-  // stays on the books (stats.async.readahead_seconds). ---
-  double readahead_credit = 0.0;
+  // --- Stage 1: collective read; dead ranks request nothing, and in-situ
+  // frames skip the stage entirely. Under a read-ahead window (model_run),
+  // this frame's storage fetch was issued while the previous frame
+  // composited, so the frame is charged only the unhidden remainder —
+  // reclaimed overlap that stays on the books (stats.async). ---
+  costs.has_io = !insitu;
   if (!insitu) {
     obs::ScopedSpan stage(tracer_, "stage.io", obs::Category::kIo);
     auto blocks = io_blocks();
-    if (faulty) {
+    if (plan != nullptr) {
       const std::size_t before = blocks.size();
       std::erase_if(blocks, [&](const iolib::RankBlock& b) {
         return plan->rank_failed(b.rank, *partition_);
@@ -712,13 +602,14 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
       const double fetch =
           std::min(stats.io.seconds,
                    stats.io.open_seconds + stats.io.storage_cost.seconds);
-      readahead_credit = std::min(readahead_seconds, fetch);
-      stats.io_seconds = stats.io.seconds - readahead_credit;
+      const double credit = std::min(readahead_seconds, fetch);
+      costs.readahead_credit = credit;
+      stats.io_seconds = stats.io.seconds - credit;
       if (tracer_ != nullptr) {
         tracer_->instant("io.readahead", obs::Category::kIo,
                          {{"window_seconds", readahead_seconds},
-                          {"prefetched_seconds", readahead_credit}});
-        const double fetch_charged = fetch - readahead_credit;
+                          {"prefetched_seconds", credit}});
+        const double fetch_charged = fetch - credit;
         {
           obs::ScopedSpan fetch_span(tracer_, "io.fetch",
                                      obs::Category::kStorage);
@@ -735,19 +626,19 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
     }
   }
 
-  // --- Stages 2+3, priced together: the free graph needs the composite's
-  // per-rank structure before the frame's render charge is known. ---
+  // --- Stage 2: dead ranks render nothing; degraded-but-alive ranks render
+  // slower; the straggler is the worst weighted live rank. With stealing
+  // enabled, live idle ranks first claim scanline chunks from the slowest
+  // live ranks (dead ranks are neither victims nor thieves), so the
+  // straggler term shrinks to the post-schedule worst. ---
   std::function<double(std::int64_t)> slowdown;
-  if (faulty) {
+  if (plan != nullptr) {
     slowdown = [this, plan](std::int64_t rank) {
       if (plan->rank_failed(rank, *partition_)) return 0.0;
       return plan->rank_degrade(rank, *partition_);
     };
   }
-  compose::DirectSendDetail detail;
   AsyncChain chain;
-  double bsp_total = 0.0;
-  double exchange_overlapped = 0.0;
   {
     obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
     const render::RenderModel rmodel(config_.machine);
@@ -763,90 +654,66 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
         stats.render.straggler_rank = sched.worst_after_rank;
       }
     }
-
-    AsyncInputs in;
-    in.has_io = !insitu;
-    in.io_seconds = stats.io_seconds;
-    in.has_steal = !sched.empty();
-    in.steal_seconds = stats.steal.steal_seconds;
-    in.live.assign(std::size_t(config_.num_ranks), 1);
-    if (faulty) {
-      for (std::int64_t r = 0; r < config_.num_ranks; ++r) {
-        in.live[std::size_t(r)] = slowdown(r) > 0.0 ? 1 : 0;
-      }
-    }
-    if (!sched.empty()) {
-      in.render_seconds.resize(sched.rank_seconds_after.size());
-      for (std::size_t r = 0; r < in.render_seconds.size(); ++r) {
-        in.render_seconds[r] = sched.rank_seconds_after[r] *
-                               (1.0 + config_.machine.render_imbalance);
-      }
-    } else {
-      in.render_seconds = rmodel.rank_seconds(*decomp_, config_.num_ranks,
-                                              camera_, config_.render,
-                                              slowdown);
-    }
-
-    // Price the composite once, untraced: in the free graph its exchange
-    // and blending overlap rendering, and the frame's composite charge is
-    // whatever lands on the critical chain (synthetic spans below).
-    rt.set_tracer(nullptr);
-    stats.composite = model_composite_configured(&detail);
-    rt.set_tracer(tracer_);
-    // Overlapped semantics: dependency-priced traffic pays routing,
-    // serialization, and contention, never the barrier-close skew.
-    exchange_overlapped = stats.composite.exchange.seconds -
-                          stats.composite.exchange.skew_seconds;
-    in.exchange_seconds = exchange_overlapped;
-    const double bps = partition_->config().blends_per_second;
-    in.blend_seconds.resize(detail.blend_pixels.size());
-    for (std::size_t c = 0; c < detail.blend_pixels.size(); ++c) {
-      in.blend_seconds[c] = double(detail.blend_pixels[c]) / bps;
-    }
-    in.detail = &detail;
-    in.chained = false;
-    chain = schedule_async_frame(in, config_.num_ranks);
-
-    // BSP reference price of the same frame, composed exactly as
-    // FrameStats::total_seconds() composes it: every async term is <= its
-    // BSP term and FP addition is monotone, so reclaimed >= 0 bitwise.
-    const double bsp_render_stage =
-        stats.render.seconds + stats.steal.steal_seconds;
-    bsp_total =
-        stats.io.seconds + bsp_render_stage + stats.composite.seconds;
-
-    // The frame's render charge is the chain's render segment: the rank
-    // whose finish actually bound the last compositor, not the global
-    // straggler.
-    stats.render.seconds = chain.render_seg;
-    if (chain.render_rank >= 0) {
-      stats.render.straggler_rank = chain.render_rank;
-    }
+    costs.has_steal = !sched.empty();
     stats.render_seconds = stats.render.seconds + stats.steal.steal_seconds;
+    if (graph) {
+      costs.live.assign(std::size_t(config_.num_ranks), 1);
+      if (plan != nullptr) {
+        for (std::int64_t r = 0; r < config_.num_ranks; ++r) {
+          costs.live[std::size_t(r)] = slowdown(r) > 0.0 ? 1 : 0;
+        }
+      }
+      if (!sched.empty()) {
+        costs.rank_render.resize(sched.rank_seconds_after.size());
+        for (std::size_t r = 0; r < costs.rank_render.size(); ++r) {
+          costs.rank_render[r] = sched.rank_seconds_after[r] *
+                                 (1.0 + config_.machine.render_imbalance);
+        }
+      } else {
+        costs.rank_render = rmodel.rank_seconds(
+            *decomp_, config_.num_ranks, camera_, config_.render, slowdown);
+      }
+    }
+    // The free graph overlaps compositing with rendering, so this stage's
+    // charge — the renderer that bound the last compositor, not the global
+    // straggler — is known only once the composite is priced (untraced: its
+    // stage is synthesized below from the chain) and the graph scheduled.
+    double charged = stats.render.seconds;
+    std::int64_t straggler = stats.render.straggler_rank;
+    if (free_run) {
+      rt.set_tracer(nullptr);
+      stats.composite = model_composite_configured(&costs.detail);
+      rt.set_tracer(tracer_);
+      chain = schedule_async_frame(
+          costs, overlapped_seconds(stats.composite.exchange), bps,
+          /*chained=*/false, config_.num_ranks);
+      charged = chain.render_seg;
+      if (chain.render_rank >= 0) straggler = chain.render_rank;
+    }
     if (tracer_ != nullptr) {
       stage.arg("total_samples", double(stats.render.total_samples));
       stage.arg("max_rank_samples", double(stats.render.max_rank_samples));
       stage.arg("ranks", double(config_.num_ranks));
-      stage.arg("straggler_rank", double(stats.render.straggler_rank));
-      tracer_->advance(stats.render.seconds);
+      stage.arg("straggler_rank", double(straggler));
+      tracer_->advance(charged);
     }
   }
 
-  // --- Stage 3 trace + stats rewrite: the composite charge is the chain
-  // compositor's exchange + blend; message counts and wire bytes (the
-  // physical facts) keep their full-frame values. ---
+  // --- Stage 3: the configured compositor reads the fault state from the
+  // runtime — direct-send reassigns dead tiles, binary swap and radix-k
+  // substitute live proxies for dead partners; all report coverage. A free
+  // frame's stage is the chain compositor's exchange + blend. ---
   {
     obs::ScopedSpan stage(tracer_, "stage.composite",
                           obs::Category::kComposite);
-    double blend_chain = 0.0;
-    double exchange_chain = 0.0;
-    if (chain.composite_rank >= 0) {
-      blend_chain =
-          double(detail.blend_pixels[std::size_t(chain.composite_rank)]) /
-          partition_->config().blends_per_second;
-      exchange_chain = exchange_overlapped;
-      if (tracer_ != nullptr) {
+    if (!free_run) {
+      stats.composite =
+          model_composite_configured(graph ? &costs.detail : nullptr);
+    } else if (tracer_ != nullptr) {
+      if (chain.composite_rank >= 0) {
         const net::ExchangeCost& cost = stats.composite.exchange;
+        const std::int64_t pixels =
+            costs.detail.blend_pixels[std::size_t(chain.composite_rank)];
         {
           obs::ScopedSpan ex(tracer_, "net.exchange",
                              obs::Category::kExchange);
@@ -863,50 +730,44 @@ FrameStats ParallelVolumeRenderer::model_frame_async(
           ex.arg("bottleneck_link", double(cost.bottleneck_link));
           ex.arg("bottleneck_node", double(cost.bottleneck_node));
           ex.arg("overlapped", 1.0);
-          if (faulty) ex.arg("retry_seconds", cost.retry_seconds);
-          tracer_->advance(exchange_chain);
+          if (plan != nullptr) ex.arg("retry_seconds", cost.retry_seconds);
+          tracer_->advance(overlapped_seconds(cost));
         }
         {
           obs::ScopedSpan blend_span(tracer_, "composite.blend",
                                      obs::Category::kCompute);
-          blend_span.arg(
-              "worst_blend_pixels",
-              double(detail.blend_pixels[std::size_t(chain.composite_rank)]));
-          tracer_->advance(blend_chain);
+          blend_span.arg("worst_blend_pixels", double(pixels));
+          tracer_->advance(double(pixels) / bps);
         }
       }
-    }
-    if (tracer_ != nullptr) {
       stage.arg("compositors", double(stats.composite.num_compositors));
       stage.arg("messages", double(stats.composite.messages));
       stage.arg("bytes", double(stats.composite.bytes));
     }
-    stats.composite.exchange.seconds = exchange_chain;
-    stats.composite.exchange.skew_seconds = 0.0;
-    stats.composite.blend_seconds = blend_chain;
-    stats.composite.seconds = chain.composite_seg;
     stats.composite_seconds = stats.composite.seconds;
   }
-  if (faulty && tracer_ != nullptr) {
+
+  if (graph) {
+    if (!free_run) {
+      chain = schedule_async_frame(costs, stats.composite.exchange.seconds,
+                                   bps, /*chained=*/true, config_.num_ranks);
+    }
+    charge_critical_path(chain, free_run, bps, &costs);
+  }
+
+  if (plan != nullptr && tracer_ != nullptr) {
     tracer_->instant("fault.recovery_complete", obs::Category::kFault,
                      {{"retries", double(stats.faults.retries)},
                       {"coverage", stats.faults.coverage}});
   }
-
-  stats.async.enabled = true;
-  stats.async.dependency = runtime::DependencyMode::kFree;
-  stats.async.tasks = chain.tasks;
-  stats.async.edges = chain.edges;
-  stats.async.bsp_seconds = bsp_total;
-  stats.async.reclaimed_seconds = bsp_total - stats.total_seconds();
-  stats.async.lane_wait_seconds = chain.sched.lane_wait_seconds;
-  stats.async.readahead_seconds = readahead_credit;
   if (tracer_ != nullptr) {
-    frame.arg("overlap_reclaimed_seconds", stats.async.reclaimed_seconds);
-    frame.arg("bsp_seconds", bsp_total);
+    if (free_run) {
+      frame.arg("overlap_reclaimed_seconds", stats.async.reclaimed_seconds);
+      frame.arg("bsp_seconds", stats.async.bsp_seconds);
+    }
     stats.trace = obs::summarize_frame(*tracer_, frame.close());
   }
-  return stats;
+  return std::move(stats);
 }
 
 RunStats ParallelVolumeRenderer::model_run(
@@ -938,7 +799,7 @@ RunStats ParallelVolumeRenderer::model_run(
   if (async_free && n_frames > 1) {
     steady_credit = healthy.composite_seconds;
     set_tracer(nullptr);
-    steady = model_frame_async(nullptr, /*insitu=*/false, steady_credit);
+    steady = model_frame_stages(nullptr, /*insitu=*/false, steady_credit);
     set_tracer(tracer);
   }
   run.ideal_seconds =
@@ -999,26 +860,19 @@ RunStats ParallelVolumeRenderer::model_run(
       }
     }
 
-    FrameStats stats;
+    const fault::FaultPlan* plan =
+        (arrival != nullptr && !arrival->plan.empty()) ? &arrival->plan
+                                                       : nullptr;
     const double credit =
         (async_free && f > 0) ? run.frames.back().composite_seconds : 0.0;
-    if (arrival != nullptr && !(async_free && arrival->plan.empty())) {
-      stats = async_free
-                  ? model_frame_async(&arrival->plan, /*insitu=*/false,
-                                      credit)
-                  : model_frame_with_faults(arrival->plan);
-    } else if (tracer_ == nullptr) {
-      if (!async_free || f == 0) {
-        stats = healthy;  // bit-identical to model_frame() by determinism
-      } else if (credit == steady_credit) {
-        stats = steady;  // same read-ahead window: bit-identical
-      } else {
-        stats = model_frame_async(nullptr, /*insitu=*/false, credit);
-      }
-    } else if (async_free) {
-      stats = model_frame_async(nullptr, /*insitu=*/false, credit);
+    FrameStats stats;
+    if (plan == nullptr && tracer_ == nullptr &&
+        (!async_free || f == 0 || credit == steady_credit)) {
+      // Bit-identical to pricing the frame, by determinism: the healthy
+      // frame, or the steady frame under the same read-ahead window.
+      stats = (!async_free || f == 0) ? healthy : steady;
     } else {
-      stats = model_frame();  // traced frames must emit their own spans
+      stats = model_frame_stages(plan, /*insitu=*/false, credit);
     }
 
     // Checkpoint after the frame per policy; the final frame never
@@ -1194,16 +1048,6 @@ FrameStats ParallelVolumeRenderer::execute_frame(const std::string& path,
     stats.trace = obs::summarize_frame(*tracer_, frame.close());
   }
   return stats;
-}
-
-FrameStats ParallelVolumeRenderer::model_insitu_frame() {
-  // No I/O stage: the simulation's data is already in each rank's memory.
-  if (config_.runtime_mode == runtime::RuntimeMode::kAsync &&
-      config_.dependency == runtime::DependencyMode::kFree) {
-    return model_frame_async(nullptr, /*insitu=*/true,
-                             /*readahead_seconds=*/0.0);
-  }
-  return model_frame_superstep(nullptr, /*insitu=*/true);
 }
 
 FrameStats ParallelVolumeRenderer::execute_frame_bivariate(

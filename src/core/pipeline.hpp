@@ -78,9 +78,9 @@ struct ExperimentConfig {
   runtime::RuntimeMode runtime_mode = runtime::RuntimeMode::kBsp;
   /// How kAsync chains dependencies. kFree lets every task start when its
   /// true dependencies are met (skew is reclaimed as overlap); kChained
-  /// inserts the full barrier chain into the graph, which must — and is
-  /// verified to — reproduce the BSP stats, trace, and image byte for
-  /// byte. Ignored under kBsp.
+  /// inserts the full barrier chain into the graph and charges the frame
+  /// its critical path, which reproduces the BSP stats, trace, and image
+  /// byte for byte (pinned by the async tests). Ignored under kBsp.
   runtime::DependencyMode dependency = runtime::DependencyMode::kFree;
   /// Host threads for torus routing, ray casting, and compositing. 0 (the
   /// default) defers to the PVR_THREADS environment variable, else runs
@@ -126,7 +126,7 @@ struct FrameStats {
   /// Async task-graph accounting (DESIGN.md §9): graph size, the BSP price
   /// of the same frame, and the seconds reclaimed by overlap. Disabled
   /// (enabled == false, all zero) for kBsp frames; reclaimed_seconds == 0
-  /// for kChained frames by construction.
+  /// for kChained frames, whose critical path is the BSP schedule.
   runtime::OverlapStats async;
 
   /// Trace summary for the frame (span counts, per-stage span seconds,
@@ -310,21 +310,16 @@ class ParallelVolumeRenderer {
   /// for the async task graph; the priced stats are identical either way.
   compose::CompositeStats model_composite_configured(
       compose::DirectSendDetail* detail = nullptr);
-  /// The BSP superstep frame: stage barriers, shared by model_frame /
-  /// model_frame_with_faults (non-empty `plan`) / model_insitu_frame
-  /// (`insitu`). Under RuntimeMode::kAsync + DependencyMode::kChained it
-  /// additionally builds the chained task graph and verifies — exact
-  /// floating-point equality — that the graph's critical-path segments
-  /// reproduce the superstep stage times (fills stats.async).
-  FrameStats model_frame_superstep(const fault::FaultPlan* plan, bool insitu);
-  /// The free-running async frame (RuntimeMode::kAsync +
-  /// DependencyMode::kFree): prices the same stages, builds the dependency
-  /// graph, and charges the frame the graph's critical path — skew between
-  /// ranks is reclaimed as overlap instead of paid at a barrier.
+  /// The one model-mode frame (DESIGN.md §9) behind model_frame,
+  /// model_frame_with_faults (non-null `plan`), model_insitu_frame
+  /// (`insitu`) and model_run. Prices every stage once into a StageCosts
+  /// record, then reduces it: a BSP sum under RuntimeMode::kBsp, the task
+  /// graph's critical path under kAsync (chained or free).
   /// `readahead_seconds` is the window (the previous frame's composite
-  /// tail in model_run) that frame's collective-read fetch may hide under.
-  FrameStats model_frame_async(const fault::FaultPlan* plan, bool insitu,
-                               double readahead_seconds);
+  /// tail in a free-running model_run) that the collective-read fetch may
+  /// hide under.
+  FrameStats model_frame_stages(const fault::FaultPlan* plan, bool insitu,
+                                double readahead_seconds);
   /// Shared execute-mode stages 2+3: render the bricks, composite, fill
   /// stats.render/composite; `out` receives the image if non-null.
   void execute_render_and_composite(std::span<Brick> bricks,

@@ -23,6 +23,10 @@
 
 namespace pvr::obs {
 
+/// Escapes `s` for the inside of a JSON string literal: quote, backslash,
+/// and every control character (\n as "\\n", the rest as "\\u00xx").
+std::string json_escape(const std::string& s);
+
 /// Renders the tracer's spans and instants as Chrome trace_event JSON.
 std::string to_chrome_trace_json(const Tracer& tracer);
 

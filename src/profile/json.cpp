@@ -20,6 +20,8 @@ namespace {
 
 class Parser {
  public:
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(const std::string& text) : text_(text) {}
 
   JsonPtr parse_document() {
@@ -65,8 +67,18 @@ class Parser {
   JsonPtr parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Bench and profile JSON nest a few levels; a cap keeps hostile
+        // input from exhausting the stack of this recursive descent.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        JsonPtr value = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (!consume_keyword("true")) fail("bad literal");
@@ -247,6 +259,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects currently open
 };
 
 }  // namespace

@@ -67,7 +67,8 @@ class JsonValue {
 };
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.
-/// Throws pvr::Error("json parse error at byte N: ...") on malformed input.
+/// Throws pvr::Error("json parse error at byte N: ...") on malformed input,
+/// including arrays/objects nested more than 256 deep.
 JsonPtr parse_json(const std::string& text);
 
 /// Reads a whole file and parses it; errors name the path.

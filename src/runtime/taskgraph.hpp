@@ -24,7 +24,7 @@
 // Exactness: task times are doubles of simulated seconds, combined only by
 // addition and max — both monotone — so a graph whose dependency edges
 // reproduce the BSP barriers yields *bitwise* the BSP stage times (the
-// chained-mode property core::ParallelVolumeRenderer asserts per frame).
+// chained-mode property the async equivalence tests pin).
 // The critical path is a chain of binding predecessors from time zero to the
 // last finish, each link gap-free (predecessor finish == successor start),
 // so chain durations telescope to the makespan and segment sums by tag give

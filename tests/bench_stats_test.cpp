@@ -1,11 +1,12 @@
-// Tests for the bench harness statistics helpers (bench_common.hpp):
-// exact nearest-rank percentile and the latency histogram that feeds the
-// p50/p99 rows of bench_serve.
+// Tests for the bench harness helpers (bench_common.hpp): exact
+// nearest-rank percentile, the latency histogram that feeds the p50/p99
+// rows of bench_serve, and the JSON dump's string escaping.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "bench_common.hpp"
+#include "profile/json.hpp"
 
 namespace {
 
@@ -77,6 +78,18 @@ TEST(LatencyHistogramTest, RecordsSortsAndAnswers) {
   EXPECT_EQ(bulk.count(), 4);
   EXPECT_EQ(bulk.p(50.0), 2.0);
   EXPECT_EQ(bulk.p(75.0), 3.0);
+}
+
+TEST(BenchJsonTest, ControlCharactersStayValidJson) {
+  pvrbench::bench_config_set("note", "line one\nline\ttwo");
+  pvrbench::sim_rows().push_back(pvrbench::SimRow{"row\x01name", 1.5, {}});
+  const pvr::profile::JsonPtr doc =
+      pvr::profile::parse_json(pvrbench::bench_json("bench_escape"));
+  EXPECT_EQ(doc->at("config")->string_at("note"), "line one\nline\ttwo");
+  EXPECT_EQ(doc->at("rows")->as_array().at(0)->string_at("name"),
+            "row\x01name");
+  pvrbench::bench_config().clear();
+  pvrbench::sim_rows().clear();
 }
 
 }  // namespace

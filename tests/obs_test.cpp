@@ -252,6 +252,16 @@ TEST(ObsExportTest, WriteTextFileThrowsNamingThePath) {
   }
 }
 
+TEST(ObsExportTest, JsonEscapeCoversControlCharacters) {
+  EXPECT_EQ(json_escape("plain/name_1"), "plain/name_1");
+  EXPECT_EQ(json_escape("q\"b\\"), "q\\\"b\\\\");
+  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json_escape("t\tc\x01\x1f"), "t\\u0009c\\u0001\\u001f");
+  // No raw control character survives into the output.
+  const std::string all = json_escape(std::string("\x00\r\b\f\x7f", 5));
+  for (const char c : all) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+}
+
 TEST(ObsPipelineTest, TracerResetAllowsFrameReuse) {
   core::ParallelVolumeRenderer renderer(model_config());
   Tracer tracer;

@@ -343,6 +343,17 @@ TEST(JsonTest, MalformedInputFailsLoudWithOffset) {
   }
 }
 
+TEST(JsonTest, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // 256 levels parse; one more (or two million) is an Error, not a crash.
+  EXPECT_NO_THROW(parse_json(std::string(256, '[') + std::string(256, ']')));
+  EXPECT_THROW(parse_json(std::string(257, '[') + std::string(257, ']')),
+               Error);
+  EXPECT_THROW(parse_json(std::string(2000000, '[')), Error);
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse_json(objects), Error);
+}
+
 // --- perf gate ---
 
 /// A small synthetic bench dump in the bench_common schema.
