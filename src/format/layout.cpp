@@ -48,6 +48,7 @@ std::int64_t SlabRequest::last_wanted_before(std::int64_t pos) const {
 std::int64_t SlabRequest::useful_bytes_in(std::int64_t lo,
                                           std::int64_t hi) const {
   if (nrows == 0) return 0;
+  if (lo <= first && hi >= hull_end()) return useful_bytes();
   lo = std::max(lo, first);
   hi = std::min(hi, hull_end());
   if (lo >= hi) return 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace pvr::format::netcdf {
 
@@ -12,7 +13,25 @@ constexpr std::int32_t kTagVariable = 0x0B;
 constexpr std::int32_t kTagAttribute = 0x0C;
 constexpr std::int64_t kNonRecordLimit32 = 0xFFFFFFFFLL;  // vsize field limit
 
-std::int64_t pad4(std::int64_t n) { return (n + 3) & ~std::int64_t{3}; }
+/// a * b, or pvr::Error when the product does not fit: decoded headers
+/// carry arbitrary dimension lengths and counts.
+std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  PVR_REQUIRE(!__builtin_mul_overflow(a, b, &r),
+              "netCDF size overflows 64 bits");
+  return r;
+}
+
+std::int64_t checked_add(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  PVR_REQUIRE(!__builtin_add_overflow(a, b, &r),
+              "netCDF size overflows 64 bits");
+  return r;
+}
+
+std::int64_t pad4(std::int64_t n) {
+  return checked_add(n, 3) & ~std::int64_t{3};
+}
 
 /// Big-endian byte stream writer.
 class Writer {
@@ -75,6 +94,12 @@ class Reader {
 
   void set_version(Version v) { version_ = v; }
 
+  /// Bytes not yet consumed: every count read from the header must fit in
+  /// them before anything is allocated for it.
+  std::int64_t remaining() const {
+    return std::int64_t(bytes_.size() - pos_);
+  }
+
   std::uint8_t u8() {
     PVR_REQUIRE(pos_ < bytes_.size(), "truncated netCDF header");
     return std::uint8_t(bytes_[pos_++]);
@@ -90,8 +115,11 @@ class Reader {
     return v;
   }
   std::int64_t non_neg() {
-    return version_ == Version::k64BitData ? std::int64_t(u64())
-                                           : std::int64_t(u32());
+    if (version_ != Version::k64BitData) return std::int64_t(u32());
+    const std::uint64_t v = u64();
+    PVR_REQUIRE(v <= std::uint64_t(std::numeric_limits<std::int64_t>::max()),
+                "netCDF NON_NEG value out of range");
+    return std::int64_t(v);
   }
   std::int64_t offset() {
     return version_ == Version::kClassic ? std::int64_t(u32())
@@ -100,6 +128,7 @@ class Reader {
   std::string name() {
     const std::int64_t len = non_neg();
     PVR_REQUIRE(len >= 0 && len < (1 << 20), "unreasonable name length");
+    PVR_REQUIRE(len <= remaining(), "truncated netCDF header");
     std::string s;
     s.reserve(std::size_t(len));
     for (std::int64_t i = 0; i < len; ++i) s.push_back(char(u8()));
@@ -107,6 +136,7 @@ class Reader {
     return s;
   }
   std::vector<std::byte> raw_padded(std::int64_t n) {
+    PVR_REQUIRE(n >= 0 && n <= remaining(), "truncated netCDF header");
     std::vector<std::byte> out;
     out.reserve(std::size_t(n));
     for (std::int64_t i = 0; i < n; ++i) out.push_back(std::byte{u8()});
@@ -147,6 +177,10 @@ std::vector<Attr> decode_attr_list(Reader& r) {
     return {};
   }
   PVR_REQUIRE(tag == std::uint32_t(kTagAttribute), "bad attribute tag");
+  // Each attribute takes at least one byte, so a count beyond the bytes
+  // left is corrupt; checking first keeps the reserve below bounded.
+  PVR_REQUIRE(nelems <= r.remaining(),
+              "netCDF attribute count exceeds header");
   std::vector<Attr> attrs;
   attrs.reserve(std::size_t(nelems));
   for (std::int64_t i = 0; i < nelems; ++i) {
@@ -154,7 +188,7 @@ std::vector<Attr> decode_attr_list(Reader& r) {
     a.name = r.name();
     a.type = NcType(r.u32());
     a.nelems = r.non_neg();
-    a.values = r.raw_padded(a.nelems * type_size(a.type));
+    a.values = r.raw_padded(checked_mul(a.nelems, type_size(a.type)));
     attrs.push_back(std::move(a));
   }
   return attrs;
@@ -237,9 +271,10 @@ void File::finalize() {
         v.is_record = true;
         continue;
       }
-      elems *= d.length;
+      PVR_REQUIRE(d.length >= 0, "negative netCDF dimension length");
+      elems = checked_mul(elems, d.length);
     }
-    v.vsize = pad4(elems * type_size(v.type));
+    v.vsize = pad4(checked_mul(elems, type_size(v.type)));
     if (v.is_record) ++num_record_vars;
     if (!v.is_record && version_ != Version::k64BitData) {
       // The 32-bit vsize field caps non-record variables at 4 GiB in
@@ -256,9 +291,9 @@ void File::finalize() {
       if (!v.is_record) continue;
       std::int64_t elems = 1;
       for (std::size_t i = 1; i < v.dimids.size(); ++i) {
-        elems *= dims_[std::size_t(v.dimids[i])].length;
+        elems = checked_mul(elems, dims_[std::size_t(v.dimids[i])].length);
       }
-      v.vsize = elems * type_size(v.type);
+      v.vsize = checked_mul(elems, type_size(v.type));
     }
   }
 
@@ -271,13 +306,13 @@ void File::finalize() {
   for (Var& v : vars_) {
     if (v.is_record) continue;
     v.begin = pos;
-    pos += v.vsize;
+    pos = checked_add(pos, v.vsize);
   }
   record_size_ = 0;
   for (Var& v : vars_) {
     if (!v.is_record) continue;
-    v.begin = pos + record_size_;
-    record_size_ += v.vsize;
+    v.begin = checked_add(pos, record_size_);
+    record_size_ = checked_add(record_size_, v.vsize);
   }
 }
 
@@ -286,7 +321,7 @@ std::int64_t File::file_bytes() const {
   for (const Var& v : vars_) {
     if (!v.is_record) fixed_end = std::max(fixed_end, v.begin + v.vsize);
   }
-  return fixed_end + record_size_ * numrecs_;
+  return checked_add(fixed_end, checked_mul(record_size_, numrecs_));
 }
 
 std::int64_t File::data_offset(int var, std::int64_t record) const {
@@ -294,7 +329,7 @@ std::int64_t File::data_offset(int var, std::int64_t record) const {
   const Var& v = vars_[std::size_t(var)];
   if (!v.is_record) return v.begin;
   PVR_REQUIRE(record >= 0 && record < numrecs_, "record out of range");
-  return v.begin + record * record_size_;
+  return checked_add(v.begin, checked_mul(record, record_size_));
 }
 
 int File::var_index(const std::string& name) const {

@@ -2,22 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
-#include <map>
 
+#include "iolib/two_phase.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace pvr::iolib {
 
 namespace {
-
-/// One z-slice of one block's request, tagged with its owner.
-struct SlabEntry {
-  format::SlabRequest slab;
-  std::int32_t block_index = 0;
-  std::int64_t z = 0;
-};
 
 /// Scatters the part of `slab` that falls inside [lo, hi) from a chunk
 /// buffer (covering file range [buf_lo, ...)) into the owning brick.
@@ -125,162 +117,76 @@ ReadResult CollectiveReader::read_vars(const format::VolumeLayout& layout,
     tracer->advance(result.open_seconds);
   }
 
-  // ---- Phase 1: assemble the global request as sorted slab entries; one
-  // entry per (block, variable, z slice). block_index addresses the
-  // flattened (block, variable) brick array.
-  std::vector<SlabEntry> entries;
-  std::vector<format::SlabRequest> slabs;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const Box3i clipped =
-        blocks[i].box.intersect(Box3i{{0, 0, 0}, layout.desc().dims});
-    for (std::size_t v = 0; v < vars.size(); ++v) {
-      slabs.clear();
-      layout.subvolume_slabs(vars[v], blocks[i].box, &slabs);
-      for (std::size_t s = 0; s < slabs.size(); ++s) {
-        result.useful_bytes += slabs[s].useful_bytes();
-        entries.push_back(
-            SlabEntry{slabs[s], std::int32_t(i * vars.size() + v),
-                      clipped.lo.z + std::int64_t(s)});
-      }
-    }
-  }
-  if (entries.empty()) {
+  // ---- Phase 1: the global request, streamed: one pass over every (block,
+  // variable, z slice) slab sizes it and finds the file range it spans.
+  const RequestSummary req = summarize_request(layout, vars, blocks);
+  result.useful_bytes = req.useful_bytes;
+  if (req.slabs == 0) {
     result.seconds = result.open_seconds;
     return result;
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const SlabEntry& a, const SlabEntry& b) {
-              return a.slab.first < b.slab.first;
-            });
 
   // ---- Phase 2: file domains over the aggregators, stripe-aligned.
-  const auto& part = rt_->partition();
-  const std::int64_t stripe = storage_->config().stripe_bytes;
-  const std::int64_t num_aggs =
-      std::clamp<std::int64_t>(part.num_ions() * hints_.aggregators_per_ion,
-                               1, part.num_ranks());
-  std::int64_t range_lo = std::numeric_limits<std::int64_t>::max();
-  std::int64_t range_hi = 0;
-  for (const SlabEntry& e : entries) {
-    range_lo = std::min(range_lo, e.slab.first);
-    range_hi = std::max(range_hi, e.slab.hull_end());
+  const FileDomains domains(*rt_, *storage_, hints_, req.range_lo,
+                            req.range_hi);
+
+  // ---- Phase 3: a second pass over the slabs marks every window holding a
+  // wanted byte and sums each block's shuffle bytes per domain. ROMIO reads
+  // the *whole* buffer window once any byte in it is wanted (data sieving
+  // at window granularity); hole-only windows are skipped. This is what
+  // makes untuned record-variable reads touch most of the file (paper
+  // Fig 9). Shuffle rows land in one bucket per aggregator rank, so
+  // domains that share an aggregator after fault reassignment merge.
+  std::vector<std::uint8_t> touched(std::size_t(domains.windows()));
+  std::vector<std::int64_t> aggs(std::size_t(domains.count()));
+  for (std::int64_t d = 0; d < domains.count(); ++d) {
+    aggs[std::size_t(d)] = domains.aggregator(d);
   }
-  // Domain boundaries: an even split, aligned down to stripe boundaries
-  // when domains are large enough that alignment cannot collapse them.
-  const bool align = (range_hi - range_lo) >= num_aggs * 2 * stripe;
-  std::vector<std::int64_t> dom_start(std::size_t(num_aggs) + 1);
-  const double span = double(range_hi - range_lo);
-  for (std::int64_t d = 0; d <= num_aggs; ++d) {
-    std::int64_t b = range_lo +
-                     std::int64_t(span * double(d) / double(num_aggs));
-    if (align && d != 0 && d != num_aggs) b = b / stripe * stripe;
-    dom_start[std::size_t(d)] = b;
+  std::sort(aggs.begin(), aggs.end());
+  aggs.erase(std::unique(aggs.begin(), aggs.end()), aggs.end());
+  std::vector<std::size_t> agg_slot(std::size_t(domains.count()));
+  for (std::int64_t d = 0; d < domains.count(); ++d) {
+    agg_slot[std::size_t(d)] = std::size_t(
+        std::lower_bound(aggs.begin(), aggs.end(), domains.aggregator(d)) -
+        aggs.begin());
   }
-  dom_start[std::size_t(num_aggs)] = range_hi;
-  for (std::size_t d = 1; d < dom_start.size(); ++d) {
-    dom_start[d] = std::max(dom_start[d], dom_start[d - 1]);
-  }
-  // Aggregator of each file domain: spread across nodes/IONs; a domain
-  // whose aggregator rank sits on a failed node is reassigned to the next
-  // live rank so no file domain goes unserved.
-  const fault::FaultPlan* plan = rt_->fault_plan();
-  fault::FaultStats* fstats = rt_->fault_stats();
-  const bool faulty = plan != nullptr && !plan->empty();
-  std::vector<std::int64_t> domain_agg(static_cast<std::size_t>(num_aggs));
-  for (std::int64_t d = 0; d < num_aggs; ++d) {
-    std::int64_t r = d * part.num_ranks() / num_aggs;
-    if (faulty && plan->rank_failed(r, part)) {
-      const std::int64_t failed = r;
-      r = plan->next_live_rank(r, part);
-      if (fstats != nullptr) ++fstats->reassigned_aggregators;
-      if (tracer != nullptr) {
-        tracer->instant("fault.aggregator_reassigned", obs::Category::kFault,
-                        {{"domain", double(d)},
-                         {"from_rank", double(failed)},
-                         {"to_rank", double(r)}});
+  std::vector<std::vector<ShuffleBytes>> rows(aggs.size());
+  WindowSlabs window_slabs;  // execute mode only
+  walk_request(
+      layout, vars, blocks, domains, execute ? &window_slabs : nullptr,
+      [&](std::int64_t w, std::int64_t, std::int64_t, std::int64_t,
+          const format::SlabRequest&) { touched[std::size_t(w)] = 1; },
+      [&](std::size_t block, std::int64_t d, std::int64_t bytes) {
+        rows[agg_slot[std::size_t(d)]].push_back(
+            ShuffleBytes{domains.aggregator(d), blocks[block].rank, bytes});
+      });
+
+  // ---- Phase 4: physical accesses, one per touched window in (domain,
+  // window) order, and their storage cost. fn(access, w) per window.
+  const auto for_each_access = [&](auto&& fn) {
+    for (std::int64_t d = 0; d < domains.count(); ++d) {
+      const std::int64_t base = domains.window_base(d);
+      for (std::int64_t w = base; w < domains.window_base(d + 1); ++w) {
+        if (touched[std::size_t(w)] == 0) continue;
+        const std::int64_t w_lo = domains.window_lo(d, w - base);
+        fn(storage::PhysicalAccess{w_lo,
+                                   domains.window_hi(d, w - base) - w_lo,
+                                   domains.aggregator(d)},
+           w);
       }
     }
-    domain_agg[std::size_t(d)] = r;
-  }
-  const auto agg_rank = [&](std::int64_t d) {
-    return domain_agg[std::size_t(d)];
   };
-
-  // ---- Phase 3: chunk trims (data sieving) + per-(agg, rank) shuffle bytes.
-  struct Chunk {
-    std::int64_t trim_lo = std::numeric_limits<std::int64_t>::max();
-    std::int64_t trim_hi = 0;
-    std::vector<std::int32_t> entry_idx;  // execute mode only
-  };
-  std::map<std::int64_t, Chunk> chunks;  // key: dom << 24 | chunk_in_domain
-  struct PairBytes {
-    std::int64_t agg = 0, rank = 0, bytes = 0;
-  };
-  std::vector<PairBytes> pair_bytes;
-  const std::int64_t cb = hints_.cb_buffer_bytes;
-
-  const auto domain_of = [&](std::int64_t offset) {
-    const auto it =
-        std::upper_bound(dom_start.begin(), dom_start.end() - 1, offset);
-    return std::int64_t(it - dom_start.begin()) - 1;
-  };
-
-  for (std::size_t ei = 0; ei < entries.size(); ++ei) {
-    const SlabEntry& e = entries[ei];
-    const std::int64_t h_lo = e.slab.first;
-    const std::int64_t h_hi = e.slab.hull_end();
-    for (std::int64_t d = domain_of(h_lo);
-         d < num_aggs && dom_start[std::size_t(d)] < h_hi; ++d) {
-      const std::int64_t d_lo = dom_start[std::size_t(d)];
-      const std::int64_t d_hi = dom_start[std::size_t(d) + 1];
-      if (d_hi <= d_lo) continue;
-      const std::int64_t o_lo = std::max(h_lo, d_lo);
-      const std::int64_t o_hi = std::min(h_hi, d_hi);
-      if (o_lo >= o_hi) continue;
-      const std::int64_t c_first = (o_lo - d_lo) / cb;
-      const std::int64_t c_last = (o_hi - 1 - d_lo) / cb;
-      std::int64_t slab_agg_bytes = 0;
-      for (std::int64_t c = c_first; c <= c_last; ++c) {
-        PVR_ASSERT(c < (std::int64_t(1) << 24));
-        const std::int64_t w_lo = d_lo + c * cb;
-        const std::int64_t w_hi = std::min(d_hi, w_lo + cb);
-        const std::int64_t fw = e.slab.first_wanted_at_or_after(
-            std::max(w_lo, h_lo));
-        const std::int64_t lw =
-            e.slab.last_wanted_before(std::min(w_hi, h_hi));
-        if (fw >= lw) continue;
-        // ROMIO reads the *whole* buffer window once any byte in it is
-        // wanted (data sieving at window granularity); hole-only windows
-        // are skipped. This is what makes untuned record-variable reads
-        // touch most of the file (paper Fig 9).
-        Chunk& chunk = chunks[(d << 24) | c];
-        chunk.trim_lo = w_lo;
-        chunk.trim_hi = w_hi;
-        if (execute) chunk.entry_idx.push_back(std::int32_t(ei));
-        slab_agg_bytes += e.slab.useful_bytes_in(w_lo, w_hi);
-      }
-      if (slab_agg_bytes > 0) {
-        pair_bytes.push_back(PairBytes{
-            agg_rank(d),
-            blocks[std::size_t(e.block_index) / vars.size()].rank,
-            slab_agg_bytes});
-      }
-    }
-  }
-
-  // ---- Phase 4: physical accesses and their storage cost.
   std::vector<storage::PhysicalAccess> accesses;
-  accesses.reserve(chunks.size());
-  for (const auto& [key, chunk] : chunks) {
-    const std::int64_t d = key >> 24;
-    accesses.push_back(storage::PhysicalAccess{
-        chunk.trim_lo, chunk.trim_hi - chunk.trim_lo, agg_rank(d)});
-  }
+  accesses.reserve(std::size_t(
+      std::count(touched.begin(), touched.end(), std::uint8_t{1})));
+  for_each_access([&](const storage::PhysicalAccess& a, std::int64_t) {
+    accesses.push_back(a);
+  });
   {
     obs::ScopedSpan storage_span(tracer, "io.storage",
                                  obs::Category::kStorage);
     result.storage_cost = storage_->read_cost(
-        accesses, plan, fstats,
+        accesses, rt_->fault_plan(), rt_->fault_stats(),
         tracer != nullptr ? &tracer->metrics() : nullptr);
     if (tracer != nullptr) {
       storage_span.arg("accesses", double(result.storage_cost.accesses));
@@ -300,51 +206,36 @@ ReadResult CollectiveReader::read_vars(const format::VolumeLayout& layout,
     log->set_useful_bytes(result.useful_bytes);
   }
 
-  // ---- Phase 5: the shuffle (aggregator -> requester), priced on the torus.
-  std::sort(pair_bytes.begin(), pair_bytes.end(),
-            [](const PairBytes& a, const PairBytes& b) {
-              if (a.agg != b.agg) return a.agg < b.agg;
-              return a.rank < b.rank;
-            });
-  std::vector<runtime::Message> shuffle;
-  for (std::size_t i = 0; i < pair_bytes.size();) {
-    std::int64_t bytes = 0;
-    std::size_t j = i;
-    while (j < pair_bytes.size() && pair_bytes[j].agg == pair_bytes[i].agg &&
-           pair_bytes[j].rank == pair_bytes[i].rank) {
-      bytes += pair_bytes[j].bytes;
-      ++j;
-    }
-    shuffle.push_back(runtime::Message{pair_bytes[i].agg, pair_bytes[i].rank,
-                                       0, bytes, {}});
-    i = j;
-  }
-  // The shuffle is pipelined: each aggregator processes its domain one
+  // ---- Phase 5: the shuffle (aggregator -> requester), one message per
+  // (aggregator, rank) pair in that order, priced on the torus. The
+  // shuffle is pipelined: each aggregator processes its domain one
   // cb-buffer round at a time, so only ~1/rounds of the messages are in
   // flight at once.
-  std::int64_t max_domain = 0;
-  for (std::int64_t d = 0; d < num_aggs; ++d) {
-    max_domain = std::max(max_domain, dom_start[std::size_t(d) + 1] -
-                                          dom_start[std::size_t(d)]);
+  std::size_t row_count = 0;
+  for (const std::vector<ShuffleBytes>& bucket : rows) {
+    row_count += bucket.size();
   }
-  const int rounds = int(std::max<std::int64_t>(1, ceil_div(max_domain, cb)));
+  std::vector<runtime::Message> shuffle;
+  shuffle.reserve(row_count);
+  for (std::vector<ShuffleBytes>& bucket : rows) {
+    append_messages(&bucket, &shuffle);
+  }
+  rows.clear();
   result.shuffle_cost =
-      rt_->exchange_messages(std::move(shuffle), nullptr, rounds);
+      rt_->exchange_messages(std::move(shuffle), nullptr, domains.rounds());
 
-  // ---- Execute mode: actually read the chunks and scatter to bricks.
+  // ---- Execute mode: actually read the windows and scatter to bricks.
   if (execute) {
     std::vector<std::byte> buf;
-    for (const auto& [key, chunk] : chunks) {
-      const std::int64_t len = chunk.trim_hi - chunk.trim_lo;
-      buf.resize(std::size_t(len));
-      file->read_at(chunk.trim_lo, buf);
-      for (const std::int32_t ei : chunk.entry_idx) {
-        const SlabEntry& e = entries[std::size_t(ei)];
-        scatter_slab(e.slab, e.z, chunk.trim_lo, chunk.trim_hi, buf,
-                     chunk.trim_lo, layout.big_endian_data(),
-                     bricks[std::size_t(e.block_index)]);
+    for_each_access([&](const storage::PhysicalAccess& a, std::int64_t w) {
+      buf.resize(std::size_t(a.bytes));
+      file->read_at(a.offset, buf);
+      for (const std::int32_t si : window_slabs.of_window[std::size_t(w)]) {
+        const SlabEntry& e = window_slabs.slabs[std::size_t(si)];
+        scatter_slab(e.slab, e.z, a.offset, a.offset + a.bytes, buf,
+                     a.offset, layout.big_endian_data(), bricks[e.brick]);
       }
-    }
+    });
   }
 
   result.seconds = result.open_seconds + result.storage_cost.seconds +
@@ -352,7 +243,7 @@ ReadResult CollectiveReader::read_vars(const format::VolumeLayout& layout,
   if (tracer != nullptr) {
     io_span.arg("blocks", double(blocks.size()));
     io_span.arg("variables", double(vars.size()));
-    io_span.arg("aggregators", double(num_aggs));
+    io_span.arg("aggregators", double(domains.count()));
     io_span.arg("useful_bytes", double(result.useful_bytes));
     io_span.arg("physical_bytes", double(result.physical_bytes));
     io_span.arg("data_density", result.data_density());

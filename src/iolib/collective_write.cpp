@@ -3,20 +3,14 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <map>
 
+#include "iolib/two_phase.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace pvr::iolib {
 
 namespace {
-
-struct SlabEntry {
-  format::SlabRequest slab;
-  std::int32_t brick_index = 0;
-  std::int64_t z = 0;
-};
 
 /// Copies the part of `slab` inside [lo, hi) from the owning brick into a
 /// window buffer covering file range [buf_lo, ...), converting endianness.
@@ -93,189 +87,72 @@ ReadResult CollectiveWriter::write_vars(const format::VolumeLayout& layout,
 
   ReadResult result;
 
-  // ---- Phase 1: slab entries, as in the reader.
-  std::vector<SlabEntry> entries;
-  std::vector<format::SlabRequest> slabs;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const Box3i clipped =
-        blocks[i].box.intersect(Box3i{{0, 0, 0}, layout.desc().dims});
-    for (std::size_t v = 0; v < vars.size(); ++v) {
-      slabs.clear();
-      layout.subvolume_slabs(vars[v], blocks[i].box, &slabs);
-      for (std::size_t s = 0; s < slabs.size(); ++s) {
-        result.useful_bytes += slabs[s].useful_bytes();
-        entries.push_back(
-            SlabEntry{slabs[s], std::int32_t(i * vars.size() + v),
-                      clipped.lo.z + std::int64_t(s)});
-      }
-    }
-  }
-  if (entries.empty()) return result;
-  std::sort(entries.begin(), entries.end(),
-            [](const SlabEntry& a, const SlabEntry& b) {
-              return a.slab.first < b.slab.first;
-            });
+  // ---- Phase 1: the request's size and file range, as in the reader.
+  const RequestSummary req = summarize_request(layout, vars, blocks);
+  result.useful_bytes = req.useful_bytes;
+  if (req.slabs == 0) return result;
 
-  // ---- Phase 2: stripe-aligned file domains (identical to the reader).
-  const auto& part = rt_->partition();
-  const std::int64_t stripe = storage_->config().stripe_bytes;
-  const std::int64_t num_aggs =
-      std::clamp<std::int64_t>(part.num_ions() * hints_.aggregators_per_ion,
-                               1, part.num_ranks());
-  std::int64_t range_lo = std::numeric_limits<std::int64_t>::max();
-  std::int64_t range_hi = 0;
-  for (const SlabEntry& e : entries) {
-    range_lo = std::min(range_lo, e.slab.first);
-    range_hi = std::max(range_hi, e.slab.hull_end());
-  }
-  const bool align = (range_hi - range_lo) >= num_aggs * 2 * stripe;
-  std::vector<std::int64_t> dom_start(std::size_t(num_aggs) + 1);
-  const double span = double(range_hi - range_lo);
-  for (std::int64_t d = 0; d <= num_aggs; ++d) {
-    std::int64_t b = range_lo +
-                     std::int64_t(span * double(d) / double(num_aggs));
-    if (align && d != 0 && d != num_aggs) b = b / stripe * stripe;
-    dom_start[std::size_t(d)] = b;
-  }
-  dom_start[std::size_t(num_aggs)] = range_hi;
-  for (std::size_t d = 1; d < dom_start.size(); ++d) {
-    dom_start[d] = std::max(dom_start[d], dom_start[d - 1]);
-  }
-  // Aggregator of each file domain; domains on failed ranks are reassigned
-  // to the next live rank (mirrors the reader's recovery).
-  const fault::FaultPlan* plan = rt_->fault_plan();
-  fault::FaultStats* fstats = rt_->fault_stats();
-  const bool faulty = plan != nullptr && !plan->empty();
-  std::vector<std::int64_t> domain_agg(static_cast<std::size_t>(num_aggs));
-  for (std::int64_t d = 0; d < num_aggs; ++d) {
-    std::int64_t r = d * part.num_ranks() / num_aggs;
-    if (faulty && plan->rank_failed(r, part)) {
-      const std::int64_t failed = r;
-      r = plan->next_live_rank(r, part);
-      if (fstats != nullptr) ++fstats->reassigned_aggregators;
-      if (tracer != nullptr) {
-        tracer->instant("fault.aggregator_reassigned", obs::Category::kFault,
-                        {{"domain", double(d)},
-                         {"from_rank", double(failed)},
-                         {"to_rank", double(r)}});
-      }
-    }
-    domain_agg[std::size_t(d)] = r;
-  }
-  const auto agg_rank = [&](std::int64_t d) {
-    return domain_agg[std::size_t(d)];
-  };
-  const auto domain_of = [&](std::int64_t offset) {
-    const auto it =
-        std::upper_bound(dom_start.begin(), dom_start.end() - 1, offset);
-    return std::int64_t(it - dom_start.begin()) - 1;
-  };
+  // ---- Phase 2: stripe-aligned file domains (shared with the reader).
+  const FileDomains domains(*rt_, *storage_, hints_, req.range_lo,
+                            req.range_hi);
 
-  // ---- Phase 3: chunk coverage + shuffle bytes (rank -> aggregator).
-  struct Chunk {
-    std::int64_t lo = 0, hi = 0;     // window extent
-    std::int64_t wanted = 0;         // bytes the ranks will write
-    std::int64_t trim_lo = std::numeric_limits<std::int64_t>::max();
-    std::int64_t trim_hi = 0;        // span actually touched by writers
-    std::vector<std::int32_t> entry_idx;  // execute mode only
-  };
-  std::map<std::int64_t, Chunk> chunks;
-  struct PairBytes {
-    std::int64_t rank = 0, agg = 0, bytes = 0;
-  };
-  std::vector<PairBytes> pair_bytes;
-  const std::int64_t cb = hints_.cb_buffer_bytes;
+  // ---- Phase 3: per-window coverage + shuffle bytes (rank -> aggregator),
+  // over a dense window index. A window is touched when `wanted` > 0;
+  // [trim_lo, trim_hi) is the span its writers actually cover.
+  const std::size_t windows = std::size_t(domains.windows());
+  std::vector<std::int64_t> wanted(windows, 0);
+  std::vector<std::int64_t> trim_lo(windows,
+                                    std::numeric_limits<std::int64_t>::max());
+  std::vector<std::int64_t> trim_hi(windows, 0);
+  std::vector<ShuffleBytes> rows;
+  WindowSlabs window_slabs;  // execute mode only
+  walk_request(
+      layout, vars, blocks, domains, execute ? &window_slabs : nullptr,
+      [&](std::int64_t w, std::int64_t w_lo, std::int64_t w_hi,
+          std::int64_t first_wanted, const format::SlabRequest& slab) {
+        const std::size_t wi = std::size_t(w);
+        wanted[wi] += slab.useful_bytes_in(w_lo, w_hi);
+        trim_lo[wi] = std::min(trim_lo[wi], first_wanted);
+        trim_hi[wi] = std::max(
+            trim_hi[wi],
+            slab.last_wanted_before(std::min(w_hi, slab.hull_end())));
+      },
+      [&](std::size_t block, std::int64_t d, std::int64_t bytes) {
+        rows.push_back(
+            ShuffleBytes{blocks[block].rank, domains.aggregator(d), bytes});
+      });
 
-  for (std::size_t ei = 0; ei < entries.size(); ++ei) {
-    const SlabEntry& e = entries[ei];
-    const std::int64_t h_lo = e.slab.first;
-    const std::int64_t h_hi = e.slab.hull_end();
-    for (std::int64_t d = domain_of(h_lo);
-         d < num_aggs && dom_start[std::size_t(d)] < h_hi; ++d) {
-      const std::int64_t d_lo = dom_start[std::size_t(d)];
-      const std::int64_t d_hi = dom_start[std::size_t(d) + 1];
-      if (d_hi <= d_lo) continue;
-      const std::int64_t o_lo = std::max(h_lo, d_lo);
-      const std::int64_t o_hi = std::min(h_hi, d_hi);
-      if (o_lo >= o_hi) continue;
-      const std::int64_t c_first = (o_lo - d_lo) / cb;
-      const std::int64_t c_last = (o_hi - 1 - d_lo) / cb;
-      std::int64_t slab_agg_bytes = 0;
-      for (std::int64_t c = c_first; c <= c_last; ++c) {
-        const std::int64_t w_lo = d_lo + c * cb;
-        const std::int64_t w_hi = std::min(d_hi, w_lo + cb);
-        const std::int64_t wanted =
-            e.slab.useful_bytes_in(w_lo, w_hi);
-        if (wanted == 0) continue;
-        Chunk& chunk = chunks[(d << 24) | c];
-        chunk.lo = w_lo;
-        chunk.hi = w_hi;
-        chunk.wanted += wanted;
-        chunk.trim_lo = std::min(
-            chunk.trim_lo,
-            e.slab.first_wanted_at_or_after(std::max(w_lo, h_lo)));
-        chunk.trim_hi = std::max(
-            chunk.trim_hi, e.slab.last_wanted_before(std::min(w_hi, h_hi)));
-        if (execute) chunk.entry_idx.push_back(std::int32_t(ei));
-        slab_agg_bytes += wanted;
-      }
-      if (slab_agg_bytes > 0) {
-        pair_bytes.push_back(PairBytes{
-            blocks[std::size_t(e.brick_index) / vars.size()].rank,
-            agg_rank(d), slab_agg_bytes});
-      }
-    }
-  }
-
-  // ---- Phase 4: the shuffle (writer -> aggregator), priced on the torus.
-  std::sort(pair_bytes.begin(), pair_bytes.end(),
-            [](const PairBytes& a, const PairBytes& b) {
-              if (a.rank != b.rank) return a.rank < b.rank;
-              return a.agg < b.agg;
-            });
+  // ---- Phase 4: the shuffle (writer -> aggregator), one message per
+  // (rank, aggregator) pair in that order, priced on the torus.
   std::vector<runtime::Message> shuffle;
-  for (std::size_t i = 0; i < pair_bytes.size();) {
-    std::int64_t bytes = 0;
-    std::size_t j = i;
-    while (j < pair_bytes.size() && pair_bytes[j].rank == pair_bytes[i].rank &&
-           pair_bytes[j].agg == pair_bytes[i].agg) {
-      bytes += pair_bytes[j].bytes;
-      ++j;
-    }
-    shuffle.push_back(runtime::Message{pair_bytes[i].rank, pair_bytes[i].agg,
-                                       0, bytes, {}});
-    i = j;
-  }
-  std::int64_t max_domain = 0;
-  for (std::int64_t d = 0; d < num_aggs; ++d) {
-    max_domain = std::max(max_domain, dom_start[std::size_t(d) + 1] -
-                                          dom_start[std::size_t(d)]);
-  }
-  const int rounds = int(std::max<std::int64_t>(1, ceil_div(max_domain, cb)));
+  append_messages(&rows, &shuffle);
   result.shuffle_cost =
-      rt_->exchange_messages(std::move(shuffle), nullptr, rounds);
+      rt_->exchange_messages(std::move(shuffle), nullptr, domains.rounds());
 
   // ---- Phase 5: physical accesses. A window fully covered by wanted bytes
   // is one pure write; a partially covered one needs read-modify-write
   // sieving: read the touched span, merge, write it back (2 accesses).
   std::vector<storage::PhysicalAccess> accesses;
-  for (const auto& [key, chunk] : chunks) {
-    const std::int64_t d = key >> 24;
-    const std::int64_t span_len = chunk.trim_hi - chunk.trim_lo;
-    PVR_ASSERT(span_len > 0);
-    const bool rmw = chunk.wanted < span_len;
-    if (rmw) {
+  for (std::int64_t d = 0; d < domains.count(); ++d) {
+    for (std::int64_t w = domains.window_base(d);
+         w < domains.window_base(d + 1); ++w) {
+      if (wanted[std::size_t(w)] == 0) continue;
+      const std::int64_t lo = trim_lo[std::size_t(w)];
+      const std::int64_t span_len = trim_hi[std::size_t(w)] - lo;
+      PVR_ASSERT(span_len > 0);
+      if (wanted[std::size_t(w)] < span_len) {
+        accesses.push_back(
+            storage::PhysicalAccess{lo, span_len, domains.aggregator(d)});
+      }
       accesses.push_back(
-          storage::PhysicalAccess{chunk.trim_lo, span_len, agg_rank(d)});
+          storage::PhysicalAccess{lo, span_len, domains.aggregator(d)});
     }
-    accesses.push_back(
-        storage::PhysicalAccess{chunk.trim_lo, span_len, agg_rank(d)});
   }
   {
     obs::ScopedSpan storage_span(tracer, "io.storage",
                                  obs::Category::kStorage);
     result.storage_cost = storage_->read_cost(
-        accesses, plan, fstats,
+        accesses, rt_->fault_plan(), rt_->fault_stats(),
         tracer != nullptr ? &tracer->metrics() : nullptr);
     if (tracer != nullptr) {
       storage_span.arg("accesses", double(result.storage_cost.accesses));
@@ -296,23 +173,29 @@ ReadResult CollectiveWriter::write_vars(const format::VolumeLayout& layout,
   // ---- Execute mode: assemble each window and write it.
   if (execute) {
     std::vector<std::byte> buf;
-    for (const auto& [key, chunk] : chunks) {
-      const std::int64_t len = chunk.trim_hi - chunk.trim_lo;
-      buf.resize(std::size_t(len));
-      const bool rmw = chunk.wanted < len;
-      if (rmw && chunk.trim_lo + len <= file->size()) {
-        file->read_at(chunk.trim_lo, buf);  // preserve the holes
-      } else if (rmw) {
-        std::memset(buf.data(), 0, buf.size());
+    for (std::int64_t d = 0; d < domains.count(); ++d) {
+      const std::int64_t base = domains.window_base(d);
+      for (std::int64_t w = base; w < domains.window_base(d + 1); ++w) {
+        const std::size_t wi = std::size_t(w);
+        if (wanted[wi] == 0) continue;
+        const std::int64_t len = trim_hi[wi] - trim_lo[wi];
+        buf.resize(std::size_t(len));
+        const bool rmw = wanted[wi] < len;
+        if (rmw && trim_lo[wi] + len <= file->size()) {
+          file->read_at(trim_lo[wi], buf);  // preserve the holes
+        } else if (rmw) {
+          std::memset(buf.data(), 0, buf.size());
+        }
+        for (const std::int32_t si : window_slabs.of_window[wi]) {
+          const SlabEntry& e = window_slabs.slabs[std::size_t(si)];
+          gather_slab(e.slab, e.z,
+                      std::max(domains.window_lo(d, w - base), trim_lo[wi]),
+                      std::min(domains.window_hi(d, w - base), trim_hi[wi]),
+                      buf, trim_lo[wi], layout.big_endian_data(),
+                      bricks[e.brick]);
+        }
+        file->write_at(trim_lo[wi], buf);
       }
-      for (const std::int32_t ei : chunk.entry_idx) {
-        const SlabEntry& e = entries[std::size_t(ei)];
-        gather_slab(e.slab, e.z, std::max(chunk.lo, chunk.trim_lo),
-                    std::min(chunk.hi, chunk.trim_hi), buf, chunk.trim_lo,
-                    layout.big_endian_data(),
-                    bricks[std::size_t(e.brick_index)]);
-      }
-      file->write_at(chunk.trim_lo, buf);
     }
   }
 
@@ -320,7 +203,7 @@ ReadResult CollectiveWriter::write_vars(const format::VolumeLayout& layout,
   if (tracer != nullptr) {
     io_span.arg("blocks", double(blocks.size()));
     io_span.arg("variables", double(vars.size()));
-    io_span.arg("aggregators", double(num_aggs));
+    io_span.arg("aggregators", double(domains.count()));
     io_span.arg("useful_bytes", double(result.useful_bytes));
     io_span.arg("physical_bytes", double(result.physical_bytes));
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "format/netcdf.hpp"
 
@@ -234,6 +236,102 @@ TEST(ErrorTest, UnknownVariableLookupThrows) {
   const File f = make_volume_file(Version::kClassic, 4, 4, 4, {"v"}, true);
   EXPECT_THROW((void)f.var_index("nope"), Error);
   EXPECT_EQ(f.var_index("v"), 0);
+}
+
+/// Big-endian header bytes assembled by hand, for crafted (hostile) input.
+class Bytes {
+ public:
+  Bytes& u32(std::uint32_t v) {
+    for (int s = 24; s >= 0; s -= 8) b_.push_back(std::byte(v >> s));
+    return *this;
+  }
+  Bytes& u64(std::uint64_t v) {
+    for (int s = 56; s >= 0; s -= 8) b_.push_back(std::byte(v >> s));
+    return *this;
+  }
+  Bytes& magic(int version) {
+    for (char c : {'C', 'D', 'F'}) b_.push_back(std::byte(c));
+    b_.push_back(std::byte(version));
+    return *this;
+  }
+  Bytes& pad(std::size_t n) {
+    b_.insert(b_.end(), n, std::byte{0});
+    return *this;
+  }
+  std::span<const std::byte> span() const { return b_; }
+
+ private:
+  std::vector<std::byte> b_;
+};
+
+TEST(HostileHeaderTest, HugeCdf5AttributeCountThrowsBeforeReserving) {
+  // CDF-5, numrecs 0, no dims, then a global attribute list claiming
+  // 2^63 + 1 entries: more than the 16 bytes left could ever hold.
+  Bytes h;
+  h.magic(5).u64(0).u32(0).u64(0);
+  h.u32(0x0C).u64(0x8000000000000001ULL).pad(16);
+  EXPECT_THROW(File::decode_header(h.span()), Error);
+  // The same count that still fits in a signed 64-bit value.
+  Bytes h2;
+  h2.magic(5).u64(0).u32(0).u64(0);
+  h2.u32(0x0C).u64(0x7FFFFFFFFFFFFFFFULL).pad(16);
+  EXPECT_THROW(File::decode_header(h2.span()), Error);
+}
+
+TEST(HostileHeaderTest, HugeAttributeValueThrowsBeforeReserving) {
+  // CDF-1 global attribute "a" of 0x3FFFFFFF doubles (8 GiB of values)
+  // in a header that ends right after the count.
+  Bytes h;
+  h.magic(1).u32(0).u32(0).u32(0);
+  h.u32(0x0C).u32(1).u32(1).u32(0x61000000).u32(6).u32(0x3FFFFFFF);
+  EXPECT_THROW(File::decode_header(h.span()), Error);
+  // CDF-5 byte attribute of 2^41 elements (2 TiB): no allocator grants
+  // it, so a reserve ahead of the truncation check would throw
+  // std::bad_alloc (or abort under ASan) instead of pvr::Error.
+  Bytes h2;
+  h2.magic(5).u64(0).u32(0).u64(0);
+  h2.u32(0x0C).u64(1).u64(1).u32(0x61000000).u32(1).u64(1ULL << 41);
+  EXPECT_THROW(File::decode_header(h2.span()), Error);
+  // 2^62 doubles: the byte count itself overflows 64 bits.
+  Bytes h3;
+  h3.magic(5).u64(0).u32(0).u64(0);
+  h3.u32(0x0C).u64(1).u64(1).u32(0x61000000).u32(6).u64(1ULL << 62);
+  EXPECT_THROW(File::decode_header(h3.span()), Error);
+}
+
+TEST(HostileHeaderTest, OverflowingVariableSizeThrows) {
+  // CDF-5 with two fixed dimensions of 2^40 and a float variable over
+  // both: 2^80 elements. The layout pass must reject it, not overflow.
+  const auto header = [](bool record) {
+    Bytes h;
+    h.magic(5).u64(0);
+    h.u32(0x0A).u64(record ? 3 : 2);
+    if (record) h.u64(1).u32(0x74000000).u64(0);  // "t", record dim
+    h.u64(1).u32(0x61000000).u64(1ULL << 40);     // "a"
+    h.u64(1).u32(0x62000000).u64(1ULL << 40);     // "b"
+    h.u32(0).u64(0);                              // no global attrs
+    h.u32(0x0B).u64(1);                           // one variable "v"
+    h.u64(1).u32(0x76000000);
+    if (record) {
+      h.u64(3).u32(0).u32(1).u32(2);
+    } else {
+      h.u64(2).u32(0).u32(1);
+    }
+    h.u32(0).u64(0);                    // no variable attrs
+    h.u32(5).u64(0).u64(0);             // float, vsize, begin
+    return h;
+  };
+  EXPECT_THROW(File::decode_header(header(false).span()), Error);
+  // A lone record variable takes the unpadded-vsize path.
+  EXPECT_THROW(File::decode_header(header(true).span()), Error);
+  Var v;
+  v.name = "v";
+  v.dimids = {0, 1};
+  v.type = NcType::kFloat;
+  const std::int64_t huge = std::int64_t(1) << 40;
+  EXPECT_THROW(
+      File(Version::k64BitData, {{"a", huge}, {"b", huge}}, {}, {v}, 0),
+      Error);
 }
 
 }  // namespace
