@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -57,10 +56,8 @@ CompositeStats BinarySwapCompositor::run(
   PVR_REQUIRE(is_pow2(n), "binary swap requires a power-of-two rank count");
   PVR_REQUIRE(std::int64_t(blocks.size()) == n,
               "binary swap requires exactly one block per rank");
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    PVR_REQUIRE(blocks[i].rank == std::int64_t(i),
-                "blocks must be listed in rank order");
-  }
+  // Visibility order: pos[r] is rank r's index in near-to-far order.
+  const auto [order, pos] = visibility_order(blocks);
   const bool execute = !subimages.empty();
   const int rounds = ilog2(n);
   obs::Tracer* tracer = rt_->tracer();
@@ -79,19 +76,6 @@ CompositeStats BinarySwapCompositor::run(
   CompositeStats stats;
   stats.num_compositors = n;
 
-  // Visibility order: pos[r] is rank r's index in near-to-far order.
-  std::vector<std::int64_t> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::int64_t a, std::int64_t b) {
-    if (blocks[std::size_t(a)].depth != blocks[std::size_t(b)].depth) {
-      return blocks[std::size_t(a)].depth < blocks[std::size_t(b)].depth;
-    }
-    return a < b;
-  });
-  std::vector<std::int64_t> pos(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) pos[std::size_t(order[std::size_t(i)])] = i;
-  const auto rank_at_pos = [&](std::int64_t p) { return order[std::size_t(p)]; };
-
   // Fault recovery (model mode, paper-scale partner substitution): a dead
   // rank's schedule role — receiving its partners' pieces, blending its
   // kept region, carrying it into later rounds — is absorbed by a
@@ -101,29 +85,17 @@ CompositeStats BinarySwapCompositor::run(
   std::vector<std::int64_t> actor;  // position -> acting rank
   if (faulty) {
     const std::vector<int> round_sizes(std::size_t(rounds), 2);
-    actor = substitute_positions(order, round_sizes, *plan, mpart);
-    record_substitutions(order, actor, fstats, tracer);
-    fold_coverage(tally_block_pixels(blocks, width, height, *plan, mpart),
-                  fstats);
-    std::int64_t live = 0;
-    for (std::int64_t r = 0; r < n; ++r) {
-      if (!plan->rank_failed(r, mpart)) ++live;
-    }
-    stats.num_compositors = live;
+    Substitution sub = substitute_dead_partners(
+        order, round_sizes, blocks, width, height, *plan, mpart, fstats,
+        tracer);
+    actor = std::move(sub.actor);
+    stats.num_compositors = sub.live;
   }
 
   // Per-rank state: current region, and (execute) a full-image buffer.
   std::vector<Rect> region(static_cast<std::size_t>(n), Rect{0, 0, width, height});
   std::vector<Image> buffers;
-  if (execute) {
-    buffers.assign(static_cast<std::size_t>(n), Image());
-    for (std::int64_t r = 0; r < n; ++r) {
-      Image img(width, height);
-      const render::SubImage& sub = subimages[std::size_t(r)];
-      if (!sub.rect.empty()) img.insert(sub.rect, sub.pixels);
-      buffers[std::size_t(r)] = std::move(img);
-    }
-  }
+  if (execute) buffers = rank_buffers(subimages, width, height);
 
   const auto& mcfg = rt_->partition().config();
   std::vector<std::int64_t> blend_pixels(faulty ? std::size_t(n) : 0);
@@ -137,7 +109,7 @@ CompositeStats BinarySwapCompositor::run(
     for (std::int64_t r = 0; r < n; ++r) {
       const std::int64_t p = pos[std::size_t(r)];
       const std::int64_t partner_pos = p ^ (std::int64_t(1) << round);
-      const std::int64_t partner = rank_at_pos(partner_pos);
+      const std::int64_t partner = order[std::size_t(partner_pos)];
       const auto [first, second] = split_rect(region[std::size_t(r)]);
       const bool keep_first = ((p >> round) & 1) == 0;
       const Rect keep = keep_first ? first : second;
@@ -226,31 +198,12 @@ CompositeStats BinarySwapCompositor::run(
         rt_->exchange_messages(std::move(messages), consume, /*rounds=*/1,
                                runtime::Runtime::ConsumePolicy::kParallelRanks)
             .seconds;
-    if (faulty && redirected > 0) {
-      // A sender discovers a dead partner the hard way: max_retries failed
-      // attempts before re-addressing the piece to the proxy. Priced like
-      // the torus prices undeliverable sends.
-      const fault::FaultSpec& spec = plan->spec();
-      const double stall =
-          double(redirected) * spec.max_retries * spec.retry_timeout;
-      stats.exchange.seconds += stall;
-      stats.exchange.retry_seconds += stall;
-      if (fstats != nullptr) fstats->retries += redirected * spec.max_retries;
-      if (tracer != nullptr && stall > 0.0) {
-        obs::ScopedSpan retry_span(tracer, "fault.partner_discovery",
-                                   obs::Category::kFault);
-        retry_span.arg("redirected_messages", double(redirected));
-        tracer->advance(stall);
-      }
+    if (faulty) {
+      charge_partner_discovery(redirected, *plan, &stats.exchange, fstats,
+                               tracer);
     }
-    const double round_blend = double(worst_blend) / mcfg.blends_per_second;
-    if (tracer != nullptr) {
-      obs::ScopedSpan blend_span(tracer, "composite.blend",
-                                 obs::Category::kCompute);
-      blend_span.arg("worst_blend_pixels", double(worst_blend));
-      tracer->advance(round_blend);
-    }
-    stats.blend_seconds += round_blend;
+    stats.blend_seconds +=
+        charge_blend(worst_blend, mcfg.blends_per_second, tracer);
     for (std::int64_t r = 0; r < n; ++r) region[std::size_t(r)] = kept[std::size_t(r)];
   }
 
@@ -264,12 +217,7 @@ CompositeStats BinarySwapCompositor::run(
   }
 
   if (execute && out != nullptr) {
-    *out = Image(width, height);
-    for (std::int64_t r = 0; r < n; ++r) {
-      const Rect rect = region[std::size_t(r)];
-      if (rect.empty()) continue;
-      out->insert(rect, buffers[std::size_t(r)].extract(rect));
-    }
+    assemble_regions(region, buffers, width, height, out);
   }
   return stats;
 }

@@ -226,14 +226,8 @@ CompositeStats DirectSendCompositor::run(
       blend_pixels.empty()
           ? 0
           : *std::max_element(blend_pixels.begin(), blend_pixels.end());
-  stats.blend_seconds =
-      double(worst_blend) / rt_->partition().config().blends_per_second;
-  if (tracer != nullptr) {
-    obs::ScopedSpan blend_span(tracer, "composite.blend",
-                               obs::Category::kCompute);
-    blend_span.arg("worst_blend_pixels", double(worst_blend));
-    tracer->advance(stats.blend_seconds);
-  }
+  stats.blend_seconds = charge_blend(
+      worst_blend, rt_->partition().config().blends_per_second, tracer);
   stats.seconds = stats.exchange.seconds + stats.blend_seconds;
   if (tracer != nullptr) {
     span.arg("compositors", double(stats.num_compositors));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -86,10 +85,8 @@ CompositeStats RadixKCompositor::run(
   const std::int64_t n = rt_->num_ranks();
   PVR_REQUIRE(std::int64_t(blocks.size()) == n,
               "radix-k requires exactly one block per rank");
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    PVR_REQUIRE(blocks[i].rank == std::int64_t(i),
-                "blocks must be listed in rank order");
-  }
+  // Visibility order: pos[r] is rank r's index in near-to-far order.
+  const auto [order, pos] = visibility_order(blocks);
   const bool execute = !subimages.empty();
   obs::Tracer* tracer = rt_->tracer();
   obs::ScopedSpan span(tracer, "composite.radix_k",
@@ -107,20 +104,6 @@ CompositeStats RadixKCompositor::run(
   CompositeStats stats;
   stats.num_compositors = n;
 
-  // Visibility order (near to far), as in binary swap.
-  std::vector<std::int64_t> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::int64_t a, std::int64_t b) {
-    if (blocks[std::size_t(a)].depth != blocks[std::size_t(b)].depth) {
-      return blocks[std::size_t(a)].depth < blocks[std::size_t(b)].depth;
-    }
-    return a < b;
-  });
-  std::vector<std::int64_t> pos(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    pos[std::size_t(order[std::size_t(i)])] = i;
-  }
-
   // Fault recovery (model mode): partner substitution, exactly as in
   // binary swap — a deterministic live proxy absorbs each dead position's
   // role (receives the group's pieces for it, performs its blends, carries
@@ -128,29 +111,16 @@ CompositeStats RadixKCompositor::run(
   // dropped and reported via coverage.
   std::vector<std::int64_t> actor;  // position -> acting rank
   if (faulty) {
-    actor = substitute_positions(order, radices_, *plan, mpart);
-    record_substitutions(order, actor, fstats, tracer);
-    fold_coverage(tally_block_pixels(blocks, width, height, *plan, mpart),
-                  fstats);
-    std::int64_t live = 0;
-    for (std::int64_t r = 0; r < n; ++r) {
-      if (!plan->rank_failed(r, mpart)) ++live;
-    }
-    stats.num_compositors = live;
+    Substitution sub = substitute_dead_partners(
+        order, radices_, blocks, width, height, *plan, mpart, fstats, tracer);
+    actor = std::move(sub.actor);
+    stats.num_compositors = sub.live;
   }
 
   std::vector<Rect> region(static_cast<std::size_t>(n),
                            Rect{0, 0, width, height});
   std::vector<Image> buffers;
-  if (execute) {
-    buffers.reserve(std::size_t(n));
-    for (std::int64_t r = 0; r < n; ++r) {
-      Image img(width, height);
-      const render::SubImage& sub = subimages[std::size_t(r)];
-      if (!sub.rect.empty()) img.insert(sub.rect, sub.pixels);
-      buffers.push_back(std::move(img));
-    }
-  }
+  if (execute) buffers = rank_buffers(subimages, width, height);
 
   const auto& mcfg = rt_->partition().config();
   std::vector<std::int64_t> blend_pixels(faulty ? std::size_t(n) : 0);
@@ -265,31 +235,12 @@ CompositeStats RadixKCompositor::run(
         rt_->exchange_messages(std::move(messages), consume, /*rounds=*/1,
                                runtime::Runtime::ConsumePolicy::kParallelRanks)
             .seconds;
-    if (faulty && redirected > 0) {
-      // A sender discovers a dead peer the hard way: max_retries failed
-      // attempts before re-addressing the piece to the proxy. Priced like
-      // the torus prices undeliverable sends.
-      const fault::FaultSpec& spec = plan->spec();
-      const double stall =
-          double(redirected) * spec.max_retries * spec.retry_timeout;
-      stats.exchange.seconds += stall;
-      stats.exchange.retry_seconds += stall;
-      if (fstats != nullptr) fstats->retries += redirected * spec.max_retries;
-      if (tracer != nullptr && stall > 0.0) {
-        obs::ScopedSpan retry_span(tracer, "fault.partner_discovery",
-                                   obs::Category::kFault);
-        retry_span.arg("redirected_messages", double(redirected));
-        tracer->advance(stall);
-      }
+    if (faulty) {
+      charge_partner_discovery(redirected, *plan, &stats.exchange, fstats,
+                               tracer);
     }
-    const double round_blend = double(worst_blend) / mcfg.blends_per_second;
-    if (tracer != nullptr) {
-      obs::ScopedSpan blend_span(tracer, "composite.blend",
-                                 obs::Category::kCompute);
-      blend_span.arg("worst_blend_pixels", double(worst_blend));
-      tracer->advance(round_blend);
-    }
-    stats.blend_seconds += round_blend;
+    stats.blend_seconds +=
+        charge_blend(worst_blend, mcfg.blends_per_second, tracer);
     for (std::int64_t r = 0; r < n; ++r) {
       region[std::size_t(r)] = kept[std::size_t(r)];
     }
@@ -306,12 +257,7 @@ CompositeStats RadixKCompositor::run(
   }
 
   if (execute && out != nullptr) {
-    *out = Image(width, height);
-    for (std::int64_t r = 0; r < n; ++r) {
-      const Rect rect = region[std::size_t(r)];
-      if (rect.empty()) continue;
-      out->insert(rect, buffers[std::size_t(r)].extract(rect));
-    }
+    assemble_regions(region, buffers, width, height, out);
   }
   return stats;
 }

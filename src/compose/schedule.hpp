@@ -12,7 +12,9 @@
 #include "compose/image_partition.hpp"
 #include "fault/fault_plan.hpp"
 #include "machine/partition.hpp"
+#include "net/transfer.hpp"
 #include "obs/trace.hpp"
+#include "render/raycaster.hpp"
 #include "util/image.hpp"
 
 namespace pvr::compose {
@@ -43,7 +45,7 @@ std::vector<ScheduledMessage> build_direct_send_schedule(
 std::int64_t total_scheduled_pixels(
     std::span<const ScheduledMessage> schedule);
 
-// --- fault-path helpers shared by all three compositors ---
+// --- helpers shared by the compositors ---
 
 /// Scheduled-vs-delivered pixel tally: the single coverage metric every
 /// compositor reports under fault injection.
@@ -52,41 +54,68 @@ struct PixelTally {
   std::int64_t delivered = 0;  ///< pixels live renderers actually contribute
 };
 
-/// Tally over block footprints (clipped to the image): every block's
-/// footprint is scheduled, blocks on live ranks are delivered. Because the
-/// direct-send schedule covers each footprint pixel exactly once, this
-/// equals direct-send's per-message tally — so binary swap and radix-k
-/// report the same coverage for the same dead-renderer set.
-PixelTally tally_block_pixels(std::span<const BlockScreenInfo> blocks,
-                              int width, int height,
-                              const fault::FaultPlan& plan,
-                              const machine::Partition& part);
-
 /// Folds delivered/scheduled into stats->coverage (min across phases, so a
 /// frame reports its worst phase). A scheduled count of zero leaves the
 /// coverage untouched: a pixel-free phase has nothing to lose. Null stats
 /// are a no-op.
 void fold_coverage(const PixelTally& tally, fault::FaultStats* stats);
 
-/// Partner substitution for recursive exchange schedules (binary swap,
-/// radix-k). `order` maps visibility position -> rank; `round_sizes` are
-/// the per-round exchange-group sizes (all 2 for binary swap, the radices
-/// for radix-k; their product must be order.size()). For each position held
-/// by a dead rank, the substituting actor is chosen group-scoped: the next
-/// live rank in visibility-position order (cyclic) within the smallest
-/// round-prefix group that still has a live member. Returns actor[pos], the
-/// rank playing each position's role — the position's own rank when live.
-/// Throws pvr::Error when every rank is dead. Pure function of
-/// (order, round_sizes, plan): bit-deterministic at any thread count.
-std::vector<std::int64_t> substitute_positions(
-    std::span<const std::int64_t> order, std::span<const int> round_sizes,
-    const fault::FaultPlan& plan, const machine::Partition& part);
+/// Prices blending `pixels` on one compositor core and, when traced,
+/// records it as a composite.blend compute span of that length. Returns the
+/// blend seconds.
+double charge_blend(std::int64_t pixels, double blends_per_second,
+                    obs::Tracer* tracer);
 
-/// FaultStats + trace bookkeeping for a substitution: counts every proxied
-/// position into stats->substituted_partners and emits one
-/// fault.partner_substituted instant per absorbed position.
-void record_substitutions(std::span<const std::int64_t> order,
-                          std::span<const std::int64_t> actors,
-                          fault::FaultStats* stats, obs::Tracer* tracer);
+// --- the recursive exchange schedules (binary swap, radix-k); blocks[r]
+// is rank r's block ---
+
+/// Visibility order: order[i] is the i-th nearest rank (ties by rank),
+/// pos[r] is rank r's index in that order. Requires blocks in rank order.
+struct VisibilityOrder {
+  std::vector<std::int64_t> order;
+  std::vector<std::int64_t> pos;
+};
+VisibilityOrder visibility_order(std::span<const BlockScreenInfo> blocks);
+
+/// Partner substitution under a fault plan (model mode). `round_sizes` are
+/// the per-round exchange-group sizes (all 2 for binary swap, the radices
+/// for radix-k; their product must be order.size()). Each position held by
+/// a dead rank is played by the next live rank in visibility-position
+/// order (cyclic) within the smallest round-prefix group that still has a
+/// live member; the dead rank's own pixels are dropped. Counts the proxied
+/// positions into stats->substituted_partners (one
+/// fault.partner_substituted instant each) and folds the block-footprint
+/// coverage into `stats` — the direct-send schedule covers each footprint
+/// pixel once, so all three compositors report the same coverage. Throws
+/// pvr::Error when every rank is dead. Bit-deterministic at any thread
+/// count.
+struct Substitution {
+  std::vector<std::int64_t> actor;  ///< position -> acting rank
+  std::int64_t live = 0;            ///< live ranks: the compositors at work
+};
+Substitution substitute_dead_partners(
+    std::span<const std::int64_t> order, std::span<const int> round_sizes,
+    std::span<const BlockScreenInfo> blocks, int width, int height,
+    const fault::FaultPlan& plan, const machine::Partition& part,
+    fault::FaultStats* stats, obs::Tracer* tracer);
+
+/// A sender discovers a dead partner the hard way: max_retries failed
+/// attempts before re-addressing the piece to the proxy, priced like the
+/// torus prices undeliverable sends. Adds the stall of `redirected` such
+/// messages to `exchange` (seconds and retry_seconds) and the retries to
+/// `stats`, with a fault.partner_discovery span when traced.
+void charge_partner_discovery(std::int64_t redirected,
+                              const fault::FaultPlan& plan,
+                              net::ExchangeCost* exchange,
+                              fault::FaultStats* stats, obs::Tracer* tracer);
+
+/// Per-rank full-image buffers, each seeded with that rank's subimage.
+std::vector<Image> rank_buffers(std::span<const render::SubImage> subimages,
+                                int width, int height);
+
+/// The final image: every rank's fully composited region of its buffer.
+void assemble_regions(std::span<const Rect> regions,
+                      std::span<const Image> buffers, int width, int height,
+                      Image* out);
 
 }  // namespace pvr::compose

@@ -295,44 +295,53 @@ render::RenderEstimate ParallelVolumeRenderer::model_render() const {
                         config_.render);
 }
 
-compose::CompositeStats ParallelVolumeRenderer::model_composite(
-    compose::CompositorPolicy policy, std::int64_t fixed_m) {
-  compose::CompositeConfig cc = config_.composite;
-  cc.policy = policy;
-  cc.fixed_compositors = fixed_m;
-  compose::DirectSendCompositor compositor(model_rt(), cc);
-  const auto blocks = screen_blocks();
-  return compositor.model(blocks, config_.image_width, config_.image_height);
-}
-
-compose::CompositeStats ParallelVolumeRenderer::model_binary_swap() {
-  compose::BinarySwapCompositor compositor(model_rt(), config_.composite);
-  const auto blocks = screen_blocks();
-  return compositor.model(blocks, config_.image_width, config_.image_height);
-}
-
-compose::CompositeStats ParallelVolumeRenderer::model_radix_k(int radix) {
-  compose::RadixKCompositor compositor(
-      model_rt(), config_.composite,
-      compose::RadixKCompositor::factor(config_.num_ranks, radix));
-  const auto blocks = screen_blocks();
-  return compositor.model(blocks, config_.image_width, config_.image_height);
-}
-
-compose::CompositeStats ParallelVolumeRenderer::model_composite_configured(
+compose::CompositeStats ParallelVolumeRenderer::composite(
+    const compose::CompositeConfig& cc,
+    std::span<const render::SubImage> subimages, Image* out,
     compose::DirectSendDetail* detail) {
-  switch (config_.composite.algorithm) {
+  const bool execute = !subimages.empty();
+  runtime::Runtime& rt = execute ? execute_rt() : model_rt();
+  const auto blocks = screen_blocks();
+  const int w = config_.image_width;
+  const int h = config_.image_height;
+  const auto run = [&](auto&& compositor) {
+    return execute ? compositor.execute(blocks, subimages, w, h, out)
+                   : compositor.model(blocks, w, h);
+  };
+  switch (cc.algorithm) {
     case compose::CompositeAlgorithm::kBinarySwap:
-      return model_binary_swap();
+      return run(compose::BinarySwapCompositor(rt, cc));
     case compose::CompositeAlgorithm::kRadixK:
-      return model_radix_k(config_.composite.radix);
+      return run(compose::RadixKCompositor(
+          rt, cc,
+          compose::RadixKCompositor::factor(config_.num_ranks, cc.radix)));
     case compose::CompositeAlgorithm::kDirectSend:
       break;
   }
-  compose::DirectSendCompositor compositor(model_rt(), config_.composite);
-  const auto blocks = screen_blocks();
-  return compositor.model(blocks, config_.image_width, config_.image_height,
-                          detail);
+  compose::DirectSendCompositor direct_send(rt, cc);
+  return execute ? run(direct_send) : direct_send.model(blocks, w, h, detail);
+}
+
+compose::CompositeStats ParallelVolumeRenderer::model_composite(
+    compose::CompositorPolicy policy, std::int64_t fixed_m) {
+  compose::CompositeConfig cc = config_.composite;
+  cc.algorithm = compose::CompositeAlgorithm::kDirectSend;
+  cc.policy = policy;
+  cc.fixed_compositors = fixed_m;
+  return composite(cc, {}, nullptr);
+}
+
+compose::CompositeStats ParallelVolumeRenderer::model_binary_swap() {
+  compose::CompositeConfig cc = config_.composite;
+  cc.algorithm = compose::CompositeAlgorithm::kBinarySwap;
+  return composite(cc, {}, nullptr);
+}
+
+compose::CompositeStats ParallelVolumeRenderer::model_radix_k(int radix) {
+  compose::CompositeConfig cc = config_.composite;
+  cc.algorithm = compose::CompositeAlgorithm::kRadixK;
+  cc.radix = radix;
+  return composite(cc, {}, nullptr);
 }
 
 FrameStats ParallelVolumeRenderer::model_frame() {
@@ -682,7 +691,8 @@ FrameStats ParallelVolumeRenderer::model_frame_stages(
     std::int64_t straggler = stats.render.straggler_rank;
     if (free_run) {
       rt.set_tracer(nullptr);
-      stats.composite = model_composite_configured(&costs.detail);
+      stats.composite = composite(config_.composite, {}, nullptr,
+                                  &costs.detail);
       rt.set_tracer(tracer_);
       chain = schedule_async_frame(
           costs, overlapped_seconds(stats.composite.exchange), bps,
@@ -707,8 +717,8 @@ FrameStats ParallelVolumeRenderer::model_frame_stages(
     obs::ScopedSpan stage(tracer_, "stage.composite",
                           obs::Category::kComposite);
     if (!free_run) {
-      stats.composite =
-          model_composite_configured(graph ? &costs.detail : nullptr);
+      stats.composite = composite(config_.composite, {}, nullptr,
+                                  graph ? &costs.detail : nullptr);
     } else if (tracer_ != nullptr) {
       if (chain.composite_rank >= 0) {
         const net::ExchangeCost& cost = stats.composite.exchange;
@@ -733,12 +743,7 @@ FrameStats ParallelVolumeRenderer::model_frame_stages(
           if (plan != nullptr) ex.arg("retry_seconds", cost.retry_seconds);
           tracer_->advance(overlapped_seconds(cost));
         }
-        {
-          obs::ScopedSpan blend_span(tracer_, "composite.blend",
-                                     obs::Category::kCompute);
-          blend_span.arg("worst_blend_pixels", double(pixels));
-          tracer_->advance(double(pixels) / bps);
-        }
+        compose::charge_blend(pixels, bps, tracer_);
       }
       stage.arg("compositors", double(stats.composite.num_compositors));
       stage.arg("messages", double(stats.composite.messages));
@@ -898,8 +903,29 @@ RunStats ParallelVolumeRenderer::model_run(
   return run;
 }
 
+namespace {
+
+/// The per-block renderer of a univariate execute frame: the supernova
+/// transfer function over `bricks` (one per block, in block order).
+auto univariate_renderer(
+    std::span<const Brick> bricks, const render::Camera& camera,
+    par::ThreadPool* pool) {
+  return [bricks, &camera, pool, tf = render::TransferFunction::supernova()](
+             const render::Raycaster& caster, std::int64_t b,
+             const Box3i& owned, const render::RowBand* band) {
+    const Brick& brick = bricks[std::size_t(b)];
+    return band == nullptr
+               ? caster.render_block(brick, owned, camera, tf, pool)
+               : caster.render_block_rows(brick, owned, camera, tf,
+                                          band->begin, band->end, pool);
+  };
+}
+
+}  // namespace
+
 void ParallelVolumeRenderer::execute_render_and_composite(
-    std::span<Brick> bricks, FrameStats* stats, Image* out) {
+    const BlockRenderer& render_block, bool simd, obs::ScopedSpan* frame,
+    FrameStats* stats, Image* out) {
   runtime::Runtime& rt = execute_rt();
 
   // --- Stage 2: ray casting, real samples. With stealing enabled, the
@@ -914,9 +940,7 @@ void ParallelVolumeRenderer::execute_render_and_composite(
   {
     obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
     const render::Raycaster caster(config_.dataset.dims, config_.render);
-    const render::TransferFunction tf = render::TransferFunction::supernova();
     infos = screen_blocks();
-    PVR_ASSERT(bricks.size() == infos.size());
     subimages.reserve(infos.size());
     std::vector<std::int64_t> rank_samples(std::size_t(config_.num_ranks), 0);
     steal::StealSchedule sched;
@@ -933,8 +957,7 @@ void ParallelVolumeRenderer::execute_render_and_composite(
         ++next_claim;
       }
       if (claims_begin == next_claim) {
-        render::SubImage sub = caster.render_block(
-            bricks[std::size_t(b)], owned, camera_, tf, pool_.get());
+        render::SubImage sub = render_block(caster, b, owned, nullptr);
         rank_samples[std::size_t(owner)] += sub.samples;
         subimages.push_back(std::move(sub));
         continue;
@@ -949,9 +972,8 @@ void ParallelVolumeRenderer::execute_render_and_composite(
                                    std::int64_t row_end,
                                    std::int64_t renderer) {
         if (row_begin >= row_end) return;
-        render::SubImage band =
-            caster.render_block_rows(bricks[std::size_t(b)], owned, camera_,
-                                     tf, row_begin, row_end, pool_.get());
+        const render::RowBand rows{row_begin, row_end};
+        render::SubImage band = render_block(caster, b, owned, &rows);
         std::copy(band.pixels.begin(), band.pixels.end(),
                   sub.pixels.begin() +
                       std::ptrdiff_t(std::size_t(row_begin) * width));
@@ -1002,10 +1024,7 @@ void ParallelVolumeRenderer::execute_render_and_composite(
       {
         obs::ScopedSpan kernel(tracer_, "render.kernel",
                                obs::Category::kCompute);
-        kernel.arg("simd",
-                   config_.render.kernel == render::RaycastKernel::kSimd
-                       ? 1.0
-                       : 0.0);
+        kernel.arg("simd", simd ? 1.0 : 0.0);
         kernel.arg("samples", double(stats->render.total_samples));
         tracer_->advance(kernel_seconds);
       }
@@ -1013,114 +1032,70 @@ void ParallelVolumeRenderer::execute_render_and_composite(
     }
   }
 
-  // --- Stage 3: direct-send compositing with real pixels. ---
+  // --- Stage 3: the configured compositor, with real pixels. ---
   {
     obs::ScopedSpan stage(tracer_, "stage.composite",
                           obs::Category::kComposite);
-    compose::DirectSendCompositor compositor(rt, config_.composite);
-    stats->composite = compositor.execute(
-        infos, subimages, config_.image_width, config_.image_height, out);
+    stats->composite = composite(config_.composite, subimages, out);
     stats->composite_seconds = stats->composite.seconds;
   }
+  if (tracer_ != nullptr) {
+    stats->trace = obs::summarize_frame(*tracer_, frame->close());
+  }
+}
+
+std::vector<Brick> ParallelVolumeRenderer::execute_read(
+    const std::string& path, std::span<const int> vars, FrameStats* stats) {
+  obs::ScopedSpan stage(tracer_, "stage.io", obs::Category::kIo);
+  const auto blocks = io_blocks();
+  std::vector<Brick> bricks;  // variable-major per block
+  bricks.reserve(blocks.size() * vars.size());
+  for (const auto& b : blocks) {
+    for (std::size_t v = 0; v < vars.size(); ++v) bricks.emplace_back(b.box);
+  }
+  format::DiskFile file(path, format::DiskFile::OpenMode::kRead);
+  iolib::CollectiveReader reader(execute_rt(), *storage_, config_.hints);
+  stats->io = reader.read_vars(*layout_, vars, blocks, &file, bricks);
+  stats->io_seconds = stats->io.seconds;
+  return bricks;
 }
 
 FrameStats ParallelVolumeRenderer::execute_frame(const std::string& path,
                                                  Image* out) {
-  runtime::Runtime& rt = execute_rt();
   FrameStats stats;
   obs::ScopedSpan frame(tracer_, "frame", obs::Category::kFrame);
-
-  // --- Stage 1: collective read into per-rank bricks (with ghost). ---
-  const auto blocks = io_blocks();
-  std::vector<Brick> bricks;
-  bricks.reserve(blocks.size());
-  for (const auto& b : blocks) bricks.push_back(Brick(b.box));
-  {
-    obs::ScopedSpan stage(tracer_, "stage.io", obs::Category::kIo);
-    format::DiskFile file(path, format::DiskFile::OpenMode::kRead);
-    iolib::CollectiveReader reader(rt, *storage_, config_.hints);
-    stats.io = reader.read(*layout_, variable_, blocks, &file, bricks);
-    stats.io_seconds = stats.io.seconds;
-  }
-
-  execute_render_and_composite(bricks, &stats, out);
-  if (tracer_ != nullptr) {
-    stats.trace = obs::summarize_frame(*tracer_, frame.close());
-  }
+  const int vars[] = {variable_};
+  const std::vector<Brick> bricks = execute_read(path, vars, &stats);
+  execute_render_and_composite(
+      univariate_renderer(bricks, camera_, pool_.get()),
+      config_.render.kernel == render::RaycastKernel::kSimd, &frame, &stats,
+      out);
   return stats;
 }
 
 FrameStats ParallelVolumeRenderer::execute_frame_bivariate(
     const std::string& path, const std::string& opacity_variable,
     const render::BivariateTransferFunction& tf, Image* out) {
-  runtime::Runtime& rt = execute_rt();
   FrameStats stats;
   obs::ScopedSpan frame(tracer_, "frame", obs::Category::kFrame);
-
-  // --- Stage 1: one collective read covering both variables. ---
   const int vars[] = {variable_,
                       config_.dataset.variable_index(opacity_variable)};
-  const auto blocks = io_blocks();
-  std::vector<Brick> bricks;  // variable-major per block
-  bricks.reserve(blocks.size() * 2);
-  for (const auto& b : blocks) {
-    bricks.push_back(Brick(b.box));
-    bricks.push_back(Brick(b.box));
-  }
-  {
-    obs::ScopedSpan stage(tracer_, "stage.io", obs::Category::kIo);
-    format::DiskFile file(path, format::DiskFile::OpenMode::kRead);
-    iolib::CollectiveReader reader(rt, *storage_, config_.hints);
-    stats.io = reader.read_vars(*layout_, vars, blocks, &file, bricks);
-    stats.io_seconds = stats.io.seconds;
-  }
-
-  // --- Stage 2: bivariate ray casting. ---
-  const auto infos = screen_blocks();
-  std::vector<render::SubImage> subimages;
-  {
-    obs::ScopedSpan stage(tracer_, "stage.render", obs::Category::kRender);
-    const render::Raycaster caster(config_.dataset.dims, config_.render);
-    subimages.reserve(infos.size());
-    std::vector<std::int64_t> rank_samples(std::size_t(config_.num_ranks), 0);
-    for (std::int64_t b = 0; b < decomp_->num_blocks(); ++b) {
-      render::SubImage sub = caster.render_block_bivariate(
-          bricks[std::size_t(b) * 2], bricks[std::size_t(b) * 2 + 1],
-          decomp_->block_box(b), camera_, tf, pool_.get());
-      rank_samples[std::size_t(infos[std::size_t(b)].rank)] += sub.samples;
-      subimages.push_back(std::move(sub));
-    }
-    const render::RenderModel rmodel(config_.machine);
-    for (const auto& s : subimages) stats.render.total_samples += s.samples;
-    const auto worst =
-        std::max_element(rank_samples.begin(), rank_samples.end());
-    stats.render.max_rank_samples = *worst;
-    stats.render.straggler_rank = worst - rank_samples.begin();
-    stats.render.seconds =
-        rmodel.seconds_for_samples(stats.render.max_rank_samples);
-    stats.render_seconds = stats.render.seconds;
-    if (tracer_ != nullptr) {
-      stage.arg("total_samples", double(stats.render.total_samples));
-      stage.arg("max_rank_samples", double(stats.render.max_rank_samples));
-      stage.arg("ranks", double(config_.num_ranks));
-      stage.arg("straggler_rank", double(stats.render.straggler_rank));
-      tracer_->advance(stats.render_seconds);
-    }
-  }
-
-  // --- Stage 3: compositing is variable-agnostic. ---
-  {
-    obs::ScopedSpan stage(tracer_, "stage.composite",
-                          obs::Category::kComposite);
-    compose::DirectSendCompositor compositor(rt, config_.composite);
-    stats.composite = compositor.execute(infos, subimages,
-                                         config_.image_width,
-                                         config_.image_height, out);
-    stats.composite_seconds = stats.composite.seconds;
-  }
-  if (tracer_ != nullptr) {
-    stats.trace = obs::summarize_frame(*tracer_, frame.close());
-  }
+  const std::vector<Brick> bricks = execute_read(path, vars, &stats);
+  // The bivariate classifier has no transfer-function LUT, so every block
+  // marches the scalar kernel.
+  execute_render_and_composite(
+      [&](const render::Raycaster& caster, std::int64_t b, const Box3i& owned,
+          const render::RowBand* band) {
+        const Brick& color = bricks[std::size_t(b) * 2];
+        const Brick& opacity = bricks[std::size_t(b) * 2 + 1];
+        return band == nullptr
+                   ? caster.render_block_bivariate(color, opacity, owned,
+                                                   camera_, tf, pool_.get())
+                   : caster.render_block_bivariate_rows(
+                         color, opacity, owned, camera_, tf, band->begin,
+                         band->end, pool_.get());
+      },
+      /*simd=*/false, &frame, &stats, out);
   return stats;
 }
 
@@ -1137,10 +1112,10 @@ FrameStats ParallelVolumeRenderer::execute_insitu_frame(
     bricks.push_back(std::move(brick));
   }
   obs::ScopedSpan frame(tracer_, "frame", obs::Category::kFrame);
-  execute_render_and_composite(bricks, &stats, out);
-  if (tracer_ != nullptr) {
-    stats.trace = obs::summarize_frame(*tracer_, frame.close());
-  }
+  execute_render_and_composite(
+      univariate_renderer(bricks, camera_, pool_.get()),
+      config_.render.kernel == render::RaycastKernel::kSimd, &frame, &stats,
+      out);
   return stats;
 }
 

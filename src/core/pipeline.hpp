@@ -301,14 +301,21 @@ class ParallelVolumeRenderer {
       const render::BivariateTransferFunction& tf, Image* out);
 
  private:
+  /// Renders block `b` (voxel box `owned`) with `caster`: the whole
+  /// footprint when `band` is null, else that row band of it.
+  using BlockRenderer = std::function<render::SubImage(
+      const render::Raycaster& caster, std::int64_t b, const Box3i& owned,
+      const render::RowBand* band)>;
   runtime::Runtime& model_rt();
   runtime::Runtime& execute_rt();
-  /// The compositing stage as configured: dispatches on
-  /// config().composite.algorithm (direct-send, binary swap, or radix-k).
-  /// Used by every model-mode frame method, healthy or faulty. A non-null
-  /// `detail` (direct-send only) receives the per-rank message structure
-  /// for the async task graph; the priced stats are identical either way.
-  compose::CompositeStats model_composite_configured(
+  /// The one compositor dispatch, for model and execute mode: builds the
+  /// compositor `cc.algorithm` names over screen_blocks() and prices its
+  /// schedule on the model runtime (empty `subimages`) or composites the
+  /// subimages on the execute runtime into `out` (if non-null). `detail`
+  /// (direct-send model only) receives the per-rank message structure.
+  compose::CompositeStats composite(
+      const compose::CompositeConfig& cc,
+      std::span<const render::SubImage> subimages, Image* out,
       compose::DirectSendDetail* detail = nullptr);
   /// The one model-mode frame (DESIGN.md §9) behind model_frame,
   /// model_frame_with_faults (non-null `plan`), model_insitu_frame
@@ -320,9 +327,17 @@ class ParallelVolumeRenderer {
   /// hide under.
   FrameStats model_frame_stages(const fault::FaultPlan* plan, bool insitu,
                                 double readahead_seconds);
-  /// Shared execute-mode stages 2+3: render the bricks, composite, fill
-  /// stats.render/composite; `out` receives the image if non-null.
-  void execute_render_and_composite(std::span<Brick> bricks,
+  /// Execute-mode stage 1: one collective read of `vars` into per-block
+  /// bricks (with ghost), variable-major per block.
+  std::vector<Brick> execute_read(const std::string& path,
+                                  std::span<const int> vars,
+                                  FrameStats* stats);
+  /// Shared execute-mode stages 2+3 of every execute frame: renders each
+  /// block with `render_block` (row bands of it when stealing), composites
+  /// with the configured compositor, and closes `frame` into stats->trace.
+  /// `simd` says whether `render_block` runs the SIMD packet kernel.
+  void execute_render_and_composite(const BlockRenderer& render_block,
+                                    bool simd, obs::ScopedSpan* frame,
                                     FrameStats* stats, Image* out);
   /// Per-block render work for the steal planner (modeled samples, footprint
   /// rows, replication bytes), in block order.

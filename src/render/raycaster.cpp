@@ -78,9 +78,9 @@ float Raycaster::sample_world(const Brick& brick, const Vec3d& world) const {
   return c0 + fz * (c1 - c0);
 }
 
-Rgba Raycaster::integrate_ray(const Brick& brick, const Box3d& region_world,
-                              bool region_is_volume, const Ray& ray,
-                              const TransferFunction& tf,
+template <class Classify>
+Rgba Raycaster::integrate_ray(const Box3d& region_world, bool region_is_volume,
+                              const Ray& ray, const Classify& classify,
                               std::int64_t* samples) const {
   const Box3d vol = world_box(dims_);
   const auto vol_hit = intersect(ray, vol);
@@ -104,7 +104,6 @@ Rgba Raycaster::integrate_ray(const Brick& brick, const Box3d& region_world,
       0, std::int64_t(std::floor((reg_enter - t0) / dt)) - 1);
   const std::int64_t k_end = std::int64_t(std::ceil((reg_exit - t0) / dt)) + 1;
 
-  const float step = float(config_.step_voxels);
   Rgba acc = kTransparent;
   for (; k <= k_end; ++k) {
     const double t = t0 + double(k) * dt;
@@ -116,9 +115,7 @@ Rgba Raycaster::integrate_ray(const Brick& brick, const Box3d& region_world,
         p.z < region_world.lo.z || p.z >= region_world.hi.z) {
       continue;
     }
-    const float raw = sample_world(brick, p);
-    const float v = raw * value_scale_ + value_bias_;
-    acc.blend_under(tf.sample(v, step));
+    acc.blend_under(classify(p));
     ++*samples;
     if (acc.a >= float(config_.early_termination)) break;
   }
@@ -144,23 +141,50 @@ bool same_box(const Box3d& a, const Box3d& b) {
 
 }  // namespace
 
-void Raycaster::render_rect(const Brick& brick, const Box3d& region,
-                            bool region_is_volume, const Camera& camera,
-                            const TransferFunction& tf, par::ThreadPool* pool,
-                            SubImage* out) const {
+template <class Classify>
+void Raycaster::march_rect(const Box3d& region, const Camera& camera,
+                           const Classify& classify, par::ThreadPool* pool,
+                           SubImage* out) const {
   out->pixels.assign(std::size_t(out->rect.pixel_count()), kTransparent);
+  const bool region_is_volume = same_box(region, world_box(dims_));
 
   // Scanline chunks: each chunk writes a disjoint row range of out->pixels
   // and tallies its own sample count; rays are independent, so any thread
   // count produces identical pixels, and the chunk-ordered sample merge is
-  // exact. Both kernels march the same global lattice with the same
-  // per-ray arithmetic, so kScalar and kSimd pixels and sample counts are
-  // bitwise identical (simd_test pins this).
+  // exact.
   const std::int64_t rows = out->rect.y1 - out->rect.y0;
   const std::size_t width = std::size_t(out->rect.x1 - out->rect.x0);
   std::vector<std::int64_t> chunk_samples(
       std::size_t(par::plan_chunks(rows).count), 0);
+  par::parallel_for(
+      pool, rows, /*min_grain=*/1,
+      [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t chunk) {
+        std::int64_t samples = 0;
+        for (std::int64_t row = row_begin; row < row_end; ++row) {
+          const int py = out->rect.y0 + int(row);
+          std::size_t i = std::size_t(row) * width;
+          for (int px = out->rect.x0; px < out->rect.x1; ++px) {
+            out->pixels[i++] = integrate_ray(region, region_is_volume,
+                                             camera.ray(px, py), classify,
+                                             &samples);
+          }
+        }
+        chunk_samples[std::size_t(chunk)] = samples;
+      });
+  out->samples = merge_samples(chunk_samples);
+}
+
+void Raycaster::render_rect(const Brick& brick, const Box3d& region,
+                            const Camera& camera, const TransferFunction& tf,
+                            par::ThreadPool* pool, SubImage* out) const {
+  // Both kernels march the same global lattice with the same per-ray
+  // arithmetic, so kScalar and kSimd pixels and sample counts are bitwise
+  // identical (simd_test pins this).
   if (config_.kernel == RaycastKernel::kSimd) {
+    out->pixels.assign(std::size_t(out->rect.pixel_count()), kTransparent);
+    const std::int64_t rows = out->rect.y1 - out->rect.y0;
+    std::vector<std::int64_t> chunk_samples(
+        std::size_t(par::plan_chunks(rows).count), 0);
     const simd::TfLut lut(tf, float(config_.step_voxels));
     simd::KernelParams kp;
     kp.brick = &brick;
@@ -168,7 +192,7 @@ void Raycaster::render_rect(const Brick& brick, const Box3d& region,
     kp.lut = &lut;
     kp.region = region;
     kp.vol = world_box(dims_);
-    kp.region_is_volume = region_is_volume;
+    kp.region_is_volume = same_box(region, kp.vol);
     kp.dt = step_world_;
     kp.inv_h = inv_h_;
     kp.value_scale = value_scale_;
@@ -185,37 +209,43 @@ void Raycaster::render_rect(const Brick& brick, const Box3d& region,
     out->samples = merge_samples(chunk_samples);
     return;
   }
-  par::parallel_for(
-      pool, rows, /*min_grain=*/1,
-      [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t chunk) {
-        std::int64_t samples = 0;
-        for (std::int64_t row = row_begin; row < row_end; ++row) {
-          const int py = out->rect.y0 + int(row);
-          std::size_t i = std::size_t(row) * width;
-          for (int px = out->rect.x0; px < out->rect.x1; ++px) {
-            out->pixels[i++] = integrate_ray(brick, region, region_is_volume,
-                                             camera.ray(px, py), tf, &samples);
-          }
-        }
-        chunk_samples[std::size_t(chunk)] = samples;
-      });
-  out->samples = merge_samples(chunk_samples);
+  const float step = float(config_.step_voxels);
+  march_rect(
+      region, camera,
+      [&](const Vec3d& p) {
+        return tf.sample(sample_world(brick, p) * value_scale_ + value_bias_,
+                         step);
+      },
+      pool, out);
+}
+
+Box3d Raycaster::block_shell(const Box3i& owned, const Camera& camera,
+                             const RowBand* band, SubImage* out) const {
+  PVR_REQUIRE(!owned.empty(), "owned box must not be empty");
+  const Box3d region = world_box_of(owned, dims_);
+  out->rect = camera.footprint(region);
+  if (band != nullptr) {
+    const Rect full = out->rect;
+    const std::int64_t rows = std::max(0, full.height());
+    PVR_REQUIRE(band->begin >= 0 && band->begin <= band->end &&
+                    band->end <= rows,
+                "row band outside the block footprint");
+    out->rect = Rect{full.x0, full.y0 + int(band->begin), full.x1,
+                     full.y0 + int(band->end)};
+  }
+  out->depth = camera.depth_of(
+      {region.center().x, region.center().y, region.center().z});
+  return region;
 }
 
 SubImage Raycaster::render_block(const Brick& brick, const Box3i& owned,
                                  const Camera& camera,
                                  const TransferFunction& tf,
                                  par::ThreadPool* pool) const {
-  PVR_REQUIRE(!owned.empty(), "owned box must not be empty");
-  require_ghost_coverage(brick, owned, dims_);
-
-  const Box3d region = world_box_of(owned, dims_);
-  const bool region_is_volume = same_box(region, world_box(dims_));
   SubImage out;
-  out.rect = camera.footprint(region);
-  out.depth = camera.depth_of(
-      {region.center().x, region.center().y, region.center().z});
-  render_rect(brick, region, region_is_volume, camera, tf, pool, &out);
+  const Box3d region = block_shell(owned, camera, nullptr, &out);
+  require_ghost_coverage(brick, owned, dims_);
+  render_rect(brick, region, camera, tf, pool, &out);
   return out;
 }
 
@@ -225,21 +255,33 @@ SubImage Raycaster::render_block_rows(const Brick& brick, const Box3i& owned,
                                       std::int64_t row_begin,
                                       std::int64_t row_end,
                                       par::ThreadPool* pool) const {
-  PVR_REQUIRE(!owned.empty(), "owned box must not be empty");
-  require_ghost_coverage(brick, owned, dims_);
-
-  const Box3d region = world_box_of(owned, dims_);
-  const bool region_is_volume = same_box(region, world_box(dims_));
-  const Rect full = camera.footprint(region);
-  const std::int64_t rows = std::max(0, full.height());
-  PVR_REQUIRE(row_begin >= 0 && row_begin <= row_end && row_end <= rows,
-              "row band outside the block footprint");
   SubImage out;
-  out.rect = Rect{full.x0, full.y0 + int(row_begin), full.x1,
-                  full.y0 + int(row_end)};
-  out.depth = camera.depth_of(
-      {region.center().x, region.center().y, region.center().z});
-  render_rect(brick, region, region_is_volume, camera, tf, pool, &out);
+  const RowBand band{row_begin, row_end};
+  const Box3d region = block_shell(owned, camera, &band, &out);
+  require_ghost_coverage(brick, owned, dims_);
+  render_rect(brick, region, camera, tf, pool, &out);
+  return out;
+}
+
+SubImage Raycaster::render_bivariate(const Brick& color_brick,
+                                     const Brick& opacity_brick,
+                                     const Box3i& owned, const Camera& camera,
+                                     const BivariateTransferFunction& tf,
+                                     const RowBand* band,
+                                     par::ThreadPool* pool) const {
+  SubImage out;
+  const Box3d region = block_shell(owned, camera, band, &out);
+  require_ghost_coverage(color_brick, owned, dims_);
+  require_ghost_coverage(opacity_brick, owned, dims_);
+  const float step = float(config_.step_voxels);
+  march_rect(
+      region, camera,
+      [&](const Vec3d& p) {
+        return tf.sample(
+            sample_world(color_brick, p) * value_scale_ + value_bias_,
+            sample_world(opacity_brick, p) * value_scale_ + value_bias_, step);
+      },
+      pool, &out);
   return out;
 }
 
@@ -247,74 +289,18 @@ SubImage Raycaster::render_block_bivariate(
     const Brick& color_brick, const Brick& opacity_brick, const Box3i& owned,
     const Camera& camera, const BivariateTransferFunction& tf,
     par::ThreadPool* pool) const {
-  PVR_REQUIRE(!owned.empty(), "owned box must not be empty");
-  require_ghost_coverage(color_brick, owned, dims_);
-  require_ghost_coverage(opacity_brick, owned, dims_);
+  return render_bivariate(color_brick, opacity_brick, owned, camera, tf,
+                          nullptr, pool);
+}
 
-  const Box3d vol = world_box(dims_);
-  const Box3d region = world_box_of(owned, dims_);
-  const bool region_is_volume = same_box(region, vol);
-  SubImage out;
-  out.rect = camera.footprint(region);
-  out.depth = camera.depth_of(
-      {region.center().x, region.center().y, region.center().z});
-  out.pixels.assign(std::size_t(out.rect.pixel_count()), kTransparent);
-
-  const float step = float(config_.step_voxels);
-  const double dt = step_world_;
-  const std::int64_t rows = out.rect.y1 - out.rect.y0;
-  const std::size_t width = std::size_t(out.rect.x1 - out.rect.x0);
-  std::vector<std::int64_t> chunk_samples(
-      std::size_t(par::plan_chunks(rows).count), 0);
-  par::parallel_for(
-      pool, rows, /*min_grain=*/1,
-      [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t chunk) {
-        std::int64_t samples = 0;
-        for (std::int64_t row = row_begin; row < row_end; ++row) {
-          const int py = out.rect.y0 + int(row);
-          std::size_t i = std::size_t(row) * width;
-          for (int px = out.rect.x0; px < out.rect.x1; ++px, ++i) {
-            const Ray ray = camera.ray(px, py);
-            const auto vol_hit = intersect(ray, vol);
-            if (!vol_hit) continue;
-            double reg_enter = vol_hit->t_enter;
-            double reg_exit = vol_hit->t_exit;
-            if (!region_is_volume) {
-              const auto reg_hit = intersect(ray, region);
-              if (!reg_hit) continue;
-              reg_enter = reg_hit->t_enter;
-              reg_exit = reg_hit->t_exit;
-            }
-            const double t0 = vol_hit->t_enter;
-            std::int64_t k = std::max<std::int64_t>(
-                0, std::int64_t(std::floor((reg_enter - t0) / dt)) - 1);
-            const std::int64_t k_end =
-                std::int64_t(std::ceil((reg_exit - t0) / dt)) + 1;
-            Rgba acc = kTransparent;
-            for (; k <= k_end; ++k) {
-              const double t = t0 + double(k) * dt;
-              if (t > vol_hit->t_exit) break;
-              const Vec3d p = ray.at(t);
-              if (p.x < region.lo.x || p.x >= region.hi.x ||
-                  p.y < region.lo.y || p.y >= region.hi.y ||
-                  p.z < region.lo.z || p.z >= region.hi.z) {
-                continue;
-              }
-              const float cv =
-                  sample_world(color_brick, p) * value_scale_ + value_bias_;
-              const float ov =
-                  sample_world(opacity_brick, p) * value_scale_ + value_bias_;
-              acc.blend_under(tf.sample(cv, ov, step));
-              ++samples;
-              if (acc.a >= float(config_.early_termination)) break;
-            }
-            out.pixels[i] = acc;
-          }
-        }
-        chunk_samples[std::size_t(chunk)] = samples;
-      });
-  out.samples = merge_samples(chunk_samples);
-  return out;
+SubImage Raycaster::render_block_bivariate_rows(
+    const Brick& color_brick, const Brick& opacity_brick, const Box3i& owned,
+    const Camera& camera, const BivariateTransferFunction& tf,
+    std::int64_t row_begin, std::int64_t row_end,
+    par::ThreadPool* pool) const {
+  const RowBand band{row_begin, row_end};
+  return render_bivariate(color_brick, opacity_brick, owned, camera, tf,
+                          &band, pool);
 }
 
 Image Raycaster::render_full(const Brick& brick, const Camera& camera,
@@ -327,8 +313,7 @@ Image Raycaster::render_full(const Brick& brick, const Camera& camera,
   // which equals the sum over any block decomposition of the same volume).
   SubImage sub;
   sub.rect = Rect{0, 0, camera.width(), camera.height()};
-  render_rect(brick, world_box(dims_), /*region_is_volume=*/true, camera, tf,
-              pool, &sub);
+  render_rect(brick, world_box(dims_), camera, tf, pool, &sub);
   Image img(camera.width(), camera.height());
   std::copy(sub.pixels.begin(), sub.pixels.end(), img.pixels().begin());
   if (samples != nullptr) *samples = sub.samples;

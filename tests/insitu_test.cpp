@@ -64,6 +64,58 @@ TEST(InsituTest, ModelInsituDropsExactlyTheIoStage) {
               posthoc.io_seconds, 1e-9);
 }
 
+// Execute frames composite with the configured algorithm: the same message
+// schedule the model prices, real pixels blended along it.
+class ExecuteCompositor
+    : public ::testing::TestWithParam<compose::CompositeAlgorithm> {};
+
+TEST_P(ExecuteCompositor, ExecuteFrameHonoursTheConfiguredAlgorithm) {
+  ExperimentConfig cfg = small_config(8);
+  cfg.composite.algorithm = GetParam();
+  cfg.composite.radix = 4;
+  const data::SupernovaField field(1530);
+
+  ParallelVolumeRenderer renderer(cfg);
+  Image img;
+  const FrameStats executed = renderer.execute_insitu_frame(field, &img);
+  const FrameStats modeled = renderer.model_insitu_frame();
+  EXPECT_EQ(executed.composite.messages, modeled.composite.messages);
+  EXPECT_EQ(executed.composite.bytes, modeled.composite.bytes);
+  // 8 ranks: three rounds of 8 pairwise swaps; radix-4 rounds {4, 2}
+  // send 3 then 1 piece per rank.
+  if (GetParam() == compose::CompositeAlgorithm::kBinarySwap) {
+    EXPECT_EQ(executed.composite.messages, 24);
+  } else if (GetParam() == compose::CompositeAlgorithm::kRadixK) {
+    EXPECT_EQ(executed.composite.messages, 32);
+  }
+
+  // Only the blending order differs from direct-send.
+  ExperimentConfig ds_cfg = cfg;
+  ds_cfg.composite.algorithm = compose::CompositeAlgorithm::kDirectSend;
+  ParallelVolumeRenderer direct_send(ds_cfg);
+  Image ds_img;
+  direct_send.execute_insitu_frame(field, &ds_img);
+  EXPECT_LT(img.max_difference(ds_img), 1e-3f);
+
+  // Bit-identical at any host thread count.
+  cfg.host_threads = 1;
+  ParallelVolumeRenderer serial(cfg);
+  cfg.host_threads = 4;
+  ParallelVolumeRenderer threaded(cfg);
+  Image a, b;
+  const FrameStats sa = serial.execute_insitu_frame(field, &a);
+  const FrameStats sb = threaded.execute_insitu_frame(field, &b);
+  EXPECT_EQ(a.max_difference(b), 0.0f);
+  EXPECT_EQ(sa.composite.seconds, sb.composite.seconds);
+  EXPECT_EQ(sa.composite.messages, sb.composite.messages);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, ExecuteCompositor,
+    ::testing::Values(compose::CompositeAlgorithm::kDirectSend,
+                      compose::CompositeAlgorithm::kBinarySwap,
+                      compose::CompositeAlgorithm::kRadixK));
+
 class BlocksPerRank : public ::testing::TestWithParam<int> {};
 
 TEST_P(BlocksPerRank, ExecuteFrameStillMatchesSerialReference) {

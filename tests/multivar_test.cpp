@@ -8,6 +8,7 @@
 #include "data/writers.hpp"
 #include "iolib/collective_read.hpp"
 #include "render/decomposition.hpp"
+#include "steal/steal.hpp"
 
 namespace pvr {
 namespace {
@@ -184,6 +185,114 @@ TEST(BivariateFrameTest, EndToEndRendersAndMatchesSerial) {
   Image reference(cfg.image_width, cfg.image_height);
   if (!serial.rect.empty()) reference.insert(serial.rect, serial.pixels);
   EXPECT_LT(out.max_difference(reference), 2e-3f);
+}
+
+TEST(BivariateRenderTest, RowBandsStitchBackToTheExactBlockRender) {
+  const Vec3i dims{32, 32, 32};
+  Brick color(Box3i{{0, 0, 0}, dims});
+  Brick opacity(Box3i{{0, 0, 0}, dims});
+  const data::SupernovaField field(1530);
+  field.fill_brick(data::Variable::kPressure, dims, &color);
+  field.fill_brick(data::Variable::kDensity, dims, &opacity);
+  const render::Raycaster caster(dims, render::RenderConfig{});
+  const render::Camera camera = render::Camera::default_view(dims, 96, 96);
+  const auto tf = render::BivariateTransferFunction::supernova_bivariate();
+  const Box3i owned{{8, 8, 8}, {24, 24, 24}};
+
+  const render::SubImage whole =
+      caster.render_block_bivariate(color, opacity, owned, camera, tf);
+  const std::int64_t rows = whole.rect.height();
+  ASSERT_GT(rows, 2);
+  const std::int64_t split = rows / 3;
+  const render::SubImage top = caster.render_block_bivariate_rows(
+      color, opacity, owned, camera, tf, 0, split);
+  const render::SubImage bottom = caster.render_block_bivariate_rows(
+      color, opacity, owned, camera, tf, split, rows);
+  EXPECT_EQ(top.samples + bottom.samples, whole.samples);
+  EXPECT_EQ(top.rect.y0, whole.rect.y0);
+  EXPECT_EQ(bottom.rect.y1, whole.rect.y1);
+  ASSERT_EQ(top.pixels.size() + bottom.pixels.size(), whole.pixels.size());
+  std::vector<Rgba> stitched = top.pixels;
+  stitched.insert(stitched.end(), bottom.pixels.begin(), bottom.pixels.end());
+  for (std::size_t i = 0; i < stitched.size(); ++i) {
+    ASSERT_EQ(stitched[i].r, whole.pixels[i].r) << i;
+    ASSERT_EQ(stitched[i].g, whole.pixels[i].g) << i;
+    ASSERT_EQ(stitched[i].b, whole.pixels[i].b) << i;
+    ASSERT_EQ(stitched[i].a, whole.pixels[i].a) << i;
+  }
+}
+
+core::ExperimentConfig bivariate_config() {
+  core::ExperimentConfig cfg;
+  cfg.num_ranks = 8;
+  cfg.dataset = format::supernova_desc(format::FileFormat::kNetcdfRecord, 32);
+  cfg.variable = "pressure";
+  cfg.image_width = cfg.image_height = 96;
+  return cfg;
+}
+
+/// Bitwise equality of the execute-mode stats a bivariate frame reports.
+void expect_same_frame(const core::FrameStats& a, const core::FrameStats& b) {
+  EXPECT_EQ(a.io_seconds, b.io_seconds);
+  EXPECT_EQ(a.io.useful_bytes, b.io.useful_bytes);
+  EXPECT_EQ(a.io.physical_bytes, b.io.physical_bytes);
+  EXPECT_EQ(a.render_seconds, b.render_seconds);
+  EXPECT_EQ(a.render.seconds, b.render.seconds);
+  EXPECT_EQ(a.render.total_samples, b.render.total_samples);
+  EXPECT_EQ(a.render.max_rank_samples, b.render.max_rank_samples);
+  EXPECT_EQ(a.render.straggler_rank, b.render.straggler_rank);
+  EXPECT_EQ(a.composite_seconds, b.composite_seconds);
+  EXPECT_EQ(a.composite.exchange.seconds, b.composite.exchange.seconds);
+  EXPECT_EQ(a.composite.blend_seconds, b.composite.blend_seconds);
+  EXPECT_EQ(a.composite.messages, b.composite.messages);
+  EXPECT_EQ(a.composite.bytes, b.composite.bytes);
+  EXPECT_EQ(a.steal.chunks_stolen, b.steal.chunks_stolen);
+  EXPECT_EQ(a.steal.steal_seconds, b.steal.steal_seconds);
+}
+
+TEST(BivariateFrameTest, StealingKeepsTheImageAndShrinksTheStraggler) {
+  TempDir dir;
+  core::ExperimentConfig cfg = bivariate_config();
+  const std::string path = dir.file("vol.nc");
+  data::write_supernova_file(cfg.dataset, path, 1530);
+  const auto tf = render::BivariateTransferFunction::supernova_bivariate();
+
+  core::ParallelVolumeRenderer baseline(cfg);
+  Image base_img;
+  const core::FrameStats base =
+      baseline.execute_frame_bivariate(path, "density", tf, &base_img);
+
+  cfg.steal.policy = steal::StealPolicy::kScanlineChunks;
+  cfg.steal.chunks_per_block = 8;
+  core::ParallelVolumeRenderer stealing(cfg);
+  Image steal_img;
+  const core::FrameStats stolen =
+      stealing.execute_frame_bivariate(path, "density", tf, &steal_img);
+
+  EXPECT_GT(stolen.steal.chunks_stolen, 0);
+  EXPECT_EQ(base_img.max_difference(steal_img), 0.0f);
+  EXPECT_EQ(stolen.render.total_samples, base.render.total_samples);
+  EXPECT_LE(stolen.render.max_rank_samples, base.render.max_rank_samples);
+}
+
+TEST(BivariateFrameTest, BitIdenticalAcrossHostThreads) {
+  TempDir dir;
+  core::ExperimentConfig cfg = bivariate_config();
+  const std::string path = dir.file("vol.nc");
+  data::write_supernova_file(cfg.dataset, path, 1530);
+  const auto tf = render::BivariateTransferFunction::supernova_bivariate();
+
+  cfg.host_threads = 1;
+  core::ParallelVolumeRenderer serial(cfg);
+  cfg.host_threads = 4;
+  core::ParallelVolumeRenderer threaded(cfg);
+  Image a, b;
+  const core::FrameStats sa =
+      serial.execute_frame_bivariate(path, "density", tf, &a);
+  const core::FrameStats sb =
+      threaded.execute_frame_bivariate(path, "density", tf, &b);
+  EXPECT_EQ(a.max_difference(b), 0.0f);
+  expect_same_frame(sa, sb);
 }
 
 }  // namespace
