@@ -433,27 +433,25 @@ AsyncChain schedule_async_frame(const StageCosts& in, double exchange_seconds,
   runtime::TaskGraph graph(num_ranks);
   std::vector<runtime::TaskId> pre;
   if (in.has_io) {
-    pre.push_back(graph.add("io", -1, in.stats.io_seconds, kTagIo, {}));
+    pre.push_back(graph.add(-1, in.stats.io_seconds, kTagIo, {}));
   }
   if (in.has_steal) {
-    pre = {graph.add("steal", -1, in.stats.steal.steal_seconds, kTagSteal,
-                     pre)};
+    pre = {graph.add(-1, in.stats.steal.steal_seconds, kTagSteal, pre)};
   }
   std::vector<runtime::TaskId> render_task(std::size_t(num_ranks), -1);
   std::vector<runtime::TaskId> renders;
   for (std::int64_t r = 0; r < num_ranks; ++r) {
     if (!in.live[std::size_t(r)]) continue;
     render_task[std::size_t(r)] =
-        graph.add("render." + std::to_string(r), r,
-                  in.rank_render[std::size_t(r)], kTagRender, pre);
+        graph.add(r, in.rank_render[std::size_t(r)], kTagRender, pre);
     renders.push_back(render_task[std::size_t(r)]);
   }
   // kChained funnels every composite through one fan-in task instead of
   // all-to-all barrier edges, keeping the chained graph O(ranks) edges.
   std::vector<runtime::TaskId> barrier;
   if (chained) {
-    barrier = {graph.add("render.barrier", -1, 0.0, kTagBarrier,
-                         renders.empty() ? pre : renders)};
+    barrier = {
+        graph.add(-1, 0.0, kTagBarrier, renders.empty() ? pre : renders)};
   }
   for (std::int64_t c = 0; c < num_ranks; ++c) {
     const std::vector<std::int64_t>& srcs = in.detail.sources[std::size_t(c)];
@@ -470,7 +468,7 @@ AsyncChain schedule_async_frame(const StageCosts& in, double exchange_seconds,
         deps.push_back(render_task[std::size_t(s)]);
       }
     }
-    graph.add("composite." + std::to_string(c), c,
+    graph.add(c,
               exchange_seconds +
                   double(in.detail.blend_pixels[std::size_t(c)]) /
                       blends_per_second,

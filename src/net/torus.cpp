@@ -120,9 +120,15 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     std::int64_t local_bytes = 0;
     std::int64_t failed_sends = 0;  ///< undeliverable messages, live sender
   };
+  // Per-link traffic is tallied as difference arrays along each ring, in
+  // link_index order: a run of links adds at its first position and
+  // subtracts one past its last (a run that wraps past the ring's end splits
+  // in two). After routing and merging, one prefix pass per ring turns
+  // link_bytes/link_msgs into per-link totals.
   struct Tally {
     std::vector<std::int64_t> link_bytes, link_msgs;
     std::vector<NodeLoad> node;
+    std::vector<LinkId> path;  ///< route_with_faults scratch
     std::int64_t messages = 0, local_messages = 0, total_bytes = 0;
     std::int64_t max_hops = 0;
     std::int64_t undeliverable = 0, retries = 0;
@@ -142,16 +148,40 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
   std::vector<std::uint8_t> delivered;
   if (faulty) delivered.assign(static_cast<std::size_t>(n), 1);
 
+  const Vec3i dims = part.torus_dims();
+  const std::int64_t stride[3] = {1, dims.x, dims.x * dims.y};
+  // Enters one message of `bytes` on every link of `run`.
+  const auto add_run = [&](Tally& tally, const LinkRun& run,
+                           std::int64_t bytes) {
+    const std::int64_t ring = dims[run.dim];
+    const std::int64_t pos = run.start[run.dim];
+    // The run covers ring positions [lo, lo + len), mod ring.
+    const std::int64_t lo =
+        run.dir == 0 ? pos : (pos - run.len + 1 + ring) % ring;
+    // The ring's node at position 0; position p is origin + p * stride.
+    const std::int64_t origin =
+        part.node_of_coords(run.start) - pos * stride[run.dim];
+    const auto mark = [&](std::int64_t at, std::int64_t sign) {
+      const auto li = static_cast<std::size_t>(
+          link_index({origin + at * stride[run.dim], run.dim, run.dir}));
+      tally.link_bytes[li] += sign * bytes;
+      tally.link_msgs[li] += sign;
+    };
+    const std::int64_t end = lo + run.len;
+    mark(lo, 1);
+    if (end < ring) {
+      mark(end, -1);
+    } else if (end > ring) {
+      mark(0, 1);
+      mark(end - ring, -1);
+    }
+  };
+
   // Routes one transfer into `tally`; returns false when undeliverable.
   const auto process = [&](const Transfer& t, Tally& tally) -> bool {
     PVR_ASSERT(t.bytes >= 0);
     const std::int64_t src = part.node_of_rank(t.src_rank);
     const std::int64_t dst = part.node_of_rank(t.dst_rank);
-    const auto visit = [&tally, &t, this](const LinkId& link) {
-      const auto li = static_cast<std::size_t>(link_index(link));
-      tally.link_bytes[li] += t.bytes;
-      ++tally.link_msgs[li];
-    };
     std::int64_t hops = 0;
     if (faulty) {
       // A message to (or from) a dead rank, or one cut off from its
@@ -160,7 +190,15 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
       bool undeliverable = plan->node_failed(src) || plan->node_failed(dst);
       FaultRoute fr;
       if (!undeliverable && src != dst) {
-        fr = route_with_faults(src, dst, *plan, visit);
+        // Detours leave the rings, so every link enters as a unit run.
+        fr = route_with_faults(
+            src, dst, *plan,
+            [&](const LinkId& link) {
+              add_run(tally, {part.coords_of_node(link.node), link.dim,
+                              link.dir, 1},
+                      t.bytes);
+            },
+            &tally.path);
         undeliverable = !fr.reachable;
       }
       if (undeliverable) {
@@ -191,7 +229,9 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
     ++dl.recv_msgs;
     dl.recv_bytes += t.bytes;
     if (!faulty) {
-      hops = route(src, dst, visit);
+      hops = route_runs(src, dst, [&](const LinkRun& run) {
+        add_run(tally, run, t.bytes);
+      });
     }
     tally.max_hops = std::max(tally.max_hops, hops);
     return true;
@@ -238,6 +278,22 @@ ExchangeCost TorusModel::exchange(std::span<const Transfer> transfers,
       total.retries += t.retries;
       total.rerouted_messages += t.rerouted_messages;
       total.rerouted_hops += t.rerouted_hops;
+    }
+  }
+
+  // One prefix pass per (dimension, direction, ring). Ascending node order
+  // reaches each ring position after its predecessor (node - stride), whose
+  // entry is already a total.
+  for (std::int64_t node = 0; node < nodes; ++node) {
+    const Vec3i c = part.coords_of_node(node);
+    for (int d = 0; d < 3; ++d) {
+      if (c[d] == 0) continue;
+      for (int dir = 0; dir < 2; ++dir) {
+        const auto li = static_cast<std::size_t>(node * 6 + d * 2 + dir);
+        const auto prev = li - static_cast<std::size_t>(stride[d] * 6);
+        total.link_bytes[li] += total.link_bytes[prev];
+        total.link_msgs[li] += total.link_msgs[prev];
+      }
     }
   }
 

@@ -25,9 +25,9 @@
 // par::ThreadPool. Transfers are split into deterministic chunks, each chunk
 // accumulates into private integer tallies, and the tallies merge exactly —
 // so the priced cost is bit-identical for any host thread count (DESIGN.md
-// §8). route()/route_with_faults() are templated on the visitor, so hot
-// callers pay neither a std::function allocation nor a per-hop indirect
-// call.
+// §8). A healthy route is tallied as at most three ring runs (route_runs),
+// each a difference-array update; one prefix pass per ring then yields the
+// per-link totals, so pricing costs O(transfers + links), not O(hops).
 #pragma once
 
 #include <algorithm>
@@ -49,6 +49,16 @@ struct LinkId {
   int dir;            ///< 0 = +, 1 = -
 };
 
+/// `len` consecutive directed links along one ring: the link leaving
+/// `start` along dimension `dim` in direction `dir`, then the link leaving
+/// the next node of that ring, and so on. Only coordinate `dim` changes.
+struct LinkRun {
+  Vec3i start;
+  int dim;
+  int dir;
+  std::int64_t len;
+};
+
 /// Outcome of routing one message through a faulty torus.
 struct FaultRoute {
   std::int64_t hops = 0;  ///< hops actually traveled (0 when unreachable)
@@ -60,12 +70,13 @@ class TorusModel {
  public:
   explicit TorusModel(const machine::Partition& partition);
 
-  /// Calls `visit` for every directed link on the dimension-ordered route
-  /// from node a to node b. Returns hop count. Templated on the visitor so
-  /// the per-dimension link runs are accounted in a tight inlined loop.
-  template <typename Visit>
-  std::int64_t route(std::int64_t node_a, std::int64_t node_b,
-                     Visit&& visit) const {
+  /// Calls `visit` with each contiguous run of the dimension-ordered route
+  /// from node a to node b — at most one LinkRun per dimension, x then y
+  /// then z. Returns hop count. Templated on the visitor so hot callers pay
+  /// neither a std::function allocation nor an indirect call.
+  template <typename VisitRun>
+  std::int64_t route_runs(std::int64_t node_a, std::int64_t node_b,
+                          VisitRun&& visit) const {
     const auto& part = *partition_;
     Vec3i cur = part.coords_of_node(node_a);
     const Vec3i dst = part.coords_of_node(node_b);
@@ -75,26 +86,42 @@ class TorusModel {
       const std::int64_t dim = dims[d];
       const std::int64_t fwd = (dst[d] - cur[d] + dim) % dim;
       const bool go_plus = fwd <= dim - fwd;  // prefer + on ties
-      std::int64_t steps = go_plus ? fwd : dim - fwd;
+      const std::int64_t steps = go_plus ? fwd : dim - fwd;
+      if (steps == 0) continue;
       hops += steps;
-      // One contiguous run along dimension d: only coordinate d changes.
-      while (steps-- > 0) {
-        visit(LinkId{part.node_of_coords(cur), d, go_plus ? 0 : 1});
-        cur[d] = (cur[d] + (go_plus ? 1 : dim - 1)) % dim;
-      }
+      visit(LinkRun{cur, d, go_plus ? 0 : 1, steps});
+      cur[d] = dst[d];  // only coordinate d changes along the run
     }
     PVR_ASSERT(cur == dst);
     return hops;
   }
 
+  /// Calls `visit` for every directed link on the dimension-ordered route
+  /// from node a to node b, hop by hop. Returns hop count.
+  template <typename Visit>
+  std::int64_t route(std::int64_t node_a, std::int64_t node_b,
+                     Visit&& visit) const {
+    const auto& part = *partition_;
+    const Vec3i dims = part.torus_dims();
+    return route_runs(node_a, node_b, [&](const LinkRun& run) {
+      Vec3i cur = run.start;
+      const std::int64_t dim = dims[run.dim];
+      for (std::int64_t i = 0; i < run.len; ++i) {
+        visit(LinkId{part.node_of_coords(cur), run.dim, run.dir});
+        cur[run.dim] = (cur[run.dim] + (run.dir == 0 ? 1 : dim - 1)) % dim;
+      }
+    });
+  }
+
   /// Fault-aware routing. Uses the dimension-ordered route when it is
   /// clean; otherwise finds the shortest live detour (deterministic BFS).
   /// `visit` sees the links actually traversed; nothing is visited when the
-  /// destination is unreachable.
+  /// destination is unreachable. `path` is scratch space for the route's
+  /// links, reused across calls by hot callers.
   template <typename Visit>
   FaultRoute route_with_faults(std::int64_t node_a, std::int64_t node_b,
-                               const fault::FaultPlan& plan,
-                               Visit&& visit) const {
+                               const fault::FaultPlan& plan, Visit&& visit,
+                               std::vector<LinkId>* path) const {
     FaultRoute result;
     if (plan.empty()) {
       result.hops = route(node_a, node_b, visit);
@@ -108,23 +135,32 @@ class TorusModel {
 
     // Fast path: the dimension-ordered route, when every link on it is
     // alive.
-    std::vector<LinkId> path;
-    route(node_a, node_b, [&](const LinkId& l) { path.push_back(l); });
+    path->clear();
+    route(node_a, node_b, [&](const LinkId& l) { path->push_back(l); });
     bool clean = true;
-    for (const LinkId& l : path) {
+    for (const LinkId& l : *path) {
       if (!link_usable(l, plan)) {
         clean = false;
         break;
       }
     }
-    if (!clean && !detour(node_a, node_b, plan, &path)) {
+    if (!clean && !detour(node_a, node_b, plan, path)) {
       result.reachable = false;
       return result;
     }
-    for (const LinkId& l : path) visit(l);
-    result.hops = std::int64_t(path.size());
+    for (const LinkId& l : *path) visit(l);
+    result.hops = std::int64_t(path->size());
     result.detoured = !clean;
     return result;
+  }
+
+  /// As above, with a path buffer of its own.
+  template <typename Visit>
+  FaultRoute route_with_faults(std::int64_t node_a, std::int64_t node_b,
+                               const fault::FaultPlan& plan,
+                               Visit&& visit) const {
+    std::vector<LinkId> path;
+    return route_with_faults(node_a, node_b, plan, visit, &path);
   }
 
   /// Neighbor of `node` one hop along `dim` in direction `dir` (0=+, 1=-).

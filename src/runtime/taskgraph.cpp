@@ -27,8 +27,8 @@ TaskGraph::TaskGraph(std::int64_t num_lanes) : num_lanes_(num_lanes) {
   PVR_REQUIRE(num_lanes >= 0, "task graph lane count cannot be negative");
 }
 
-TaskId TaskGraph::add(std::string name, std::int64_t lane, double seconds,
-                      std::int32_t tag, std::vector<TaskId> deps) {
+TaskId TaskGraph::add(std::int64_t lane, double seconds, std::int32_t tag,
+                      std::vector<TaskId> deps) {
   PVR_REQUIRE(lane >= -1 && lane < num_lanes_,
               "task lane out of range (use -1 for the shared lane)");
   PVR_REQUIRE(seconds >= 0.0, "task duration cannot be negative");
@@ -38,7 +38,7 @@ TaskId TaskGraph::add(std::string name, std::int64_t lane, double seconds,
                 "task dependencies must reference already-added tasks");
   }
   num_edges_ += std::int64_t(deps.size());
-  tasks_.push_back(Task{std::move(name), lane, seconds, tag, std::move(deps)});
+  tasks_.push_back(Task{lane, seconds, tag, std::move(deps)});
   return id;
 }
 
@@ -128,18 +128,33 @@ TaskSchedule TaskGraph::run() const {
     events.push(Event{tt.finish, t.lane, seq++, p.task});
   };
 
+  // Lanes that may have become idle-with-work at this timestamp: the lanes
+  // of finished tasks and the lanes just handed a pending task. Every other
+  // lane is busy or has nothing pending — the previous timestamp started
+  // every idle lane with work — so visiting only these, in ascending slot
+  // order, starts exactly the tasks a scan of all lanes would, in the same
+  // order (same event sequence numbers).
+  std::vector<std::size_t> woken;
+  const auto start_woken = [&] {
+    std::sort(woken.begin(), woken.end());
+    woken.erase(std::unique(woken.begin(), woken.end()), woken.end());
+    for (const std::size_t l : woken) {
+      if (!busy[l] && !pending[l].empty()) {
+        const Pending p = pending[l].top();
+        pending[l].pop();
+        start_task(l, p);
+      }
+    }
+    woken.clear();
+  };
+
   for (std::size_t i = 0; i < n; ++i) {
     if (indegree[i] == 0) {
       pending[slot(tasks_[i].lane)].push(Pending{0.0, TaskId(i)});
+      woken.push_back(slot(tasks_[i].lane));
     }
   }
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (!pending[l].empty()) {
-      const Pending p = pending[l].top();
-      pending[l].pop();
-      start_task(l, p);
-    }
-  }
+  start_woken();
 
   while (!events.empty()) {
     // Drain *every* event at this timestamp before idle lanes choose their
@@ -153,23 +168,19 @@ TaskSchedule TaskGraph::run() const {
       const std::size_t l = slot(tasks_[std::size_t(ev.task)].lane);
       busy[l] = 0;
       free_at[l] = ev.time;
+      woken.push_back(l);
       for (const TaskId d : dependents[std::size_t(ev.task)]) {
         if (--indegree[std::size_t(d)] == 0) {
           // Events drain in time order, so this dependency is the last to
           // finish: its finish time is the dependent's ready time (the max
           // over deps, bitwise — all other deps finished at or before now).
-          pending[slot(tasks_[std::size_t(d)].lane)].push(
-              Pending{ev.time, d});
+          const std::size_t dl = slot(tasks_[std::size_t(d)].lane);
+          pending[dl].push(Pending{ev.time, d});
+          woken.push_back(dl);
         }
       }
     }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      if (!busy[l] && !pending[l].empty()) {
-        const Pending p = pending[l].top();
-        pending[l].pop();
-        start_task(l, p);
-      }
-    }
+    start_woken();
   }
   PVR_REQUIRE(completed == std::int64_t(n),
               "task graph deadlocked: unreachable dependencies");

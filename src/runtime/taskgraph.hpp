@@ -15,11 +15,12 @@
 // Determinism contract: the schedule is a pure function of the graph. The
 // event queue is totally ordered by (modeled completion time, lane rank,
 // sequence number); at equal times, events drain fully before idle lanes
-// pick their next task, and a lane always picks the pending task with the
+// pick their next task (only the lanes that timestamp woke are visited, in
+// ascending lane order), and a lane always picks the pending task with the
 // smallest (ready time, task id). No host clock, no thread count, no
 // iteration over unordered containers touches the result, so schedules are
 // bit-identical across PVR_THREADS — the same contract every other module
-// honours (DESIGN.md §8).
+// honours (DESIGN.md §8). run() costs O((tasks + edges) log tasks).
 //
 // Exactness: task times are doubles of simulated seconds, combined only by
 // addition and max — both monotone — so a graph whose dependency edges
@@ -32,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace pvr::runtime {
@@ -65,7 +65,6 @@ using TaskId = std::int32_t;
 /// caller-defined classification (e.g. pipeline stage) used to segment the
 /// critical path; the scheduler never reads it.
 struct Task {
-  std::string name;
   std::int64_t lane = -1;
   double seconds = 0.0;
   std::int32_t tag = 0;
@@ -105,8 +104,8 @@ class TaskGraph {
   /// `num_lanes` ranks, each a serial processor, plus the shared lane -1.
   explicit TaskGraph(std::int64_t num_lanes);
 
-  TaskId add(std::string name, std::int64_t lane, double seconds,
-             std::int32_t tag, std::vector<TaskId> deps);
+  TaskId add(std::int64_t lane, double seconds, std::int32_t tag,
+             std::vector<TaskId> deps);
 
   std::int64_t num_tasks() const { return std::int64_t(tasks_.size()); }
   std::int64_t num_edges() const { return num_edges_; }

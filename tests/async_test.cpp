@@ -6,7 +6,10 @@
 // decomposition clamp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "profile/profile.hpp"
 #include "runtime/taskgraph.hpp"
 #include "steal/steal.hpp"
+#include "util/rng.hpp"
 
 namespace pvr {
 namespace {
@@ -118,10 +122,10 @@ TEST(TaskGraphTest, EmptyGraphHasZeroMakespan) {
 
 TEST(TaskGraphTest, DiamondChargesTheSlowArm) {
   runtime::TaskGraph graph(3);
-  const auto a = graph.add("a", 0, 1.0, 0, {});
-  const auto b = graph.add("b", 1, 2.0, 0, {a});
-  const auto c = graph.add("c", 2, 3.0, 0, {a});
-  const auto d = graph.add("d", 0, 1.0, 0, {b, c});
+  const auto a = graph.add(0, 1.0, 0, {});
+  const auto b = graph.add(1, 2.0, 0, {a});
+  const auto c = graph.add(2, 3.0, 0, {a});
+  const auto d = graph.add(0, 1.0, 0, {b, c});
   const auto sched = graph.run();
   EXPECT_EQ(sched.times[std::size_t(a)].finish, 1.0);
   EXPECT_EQ(sched.times[std::size_t(b)].finish, 3.0);
@@ -140,8 +144,8 @@ TEST(TaskGraphTest, DiamondChargesTheSlowArm) {
 
 TEST(TaskGraphTest, SameLaneSerializesAndChargesWait) {
   runtime::TaskGraph graph(1);
-  const auto a = graph.add("a", 0, 2.0, 0, {});
-  const auto b = graph.add("b", 0, 1.0, 0, {});
+  const auto a = graph.add(0, 2.0, 0, {});
+  const auto b = graph.add(0, 1.0, 0, {});
   const auto sched = graph.run();
   // b was ready at time zero but its lane was busy until a finished.
   EXPECT_EQ(sched.times[std::size_t(b)].ready, 0.0);
@@ -158,9 +162,9 @@ TEST(TaskGraphTest, SharedLaneAndRankLanesCoexist) {
   runtime::TaskGraph graph(2);
   // A collective on the shared lane gates two rank tasks, which run
   // concurrently on their own lanes.
-  const auto gate = graph.add("gate", -1, 1.0, 0, {});
-  const auto r0 = graph.add("r0", 0, 2.0, 1, {gate});
-  const auto r1 = graph.add("r1", 1, 5.0, 1, {gate});
+  const auto gate = graph.add(-1, 1.0, 0, {});
+  const auto r0 = graph.add(0, 2.0, 1, {gate});
+  const auto r1 = graph.add(1, 5.0, 1, {gate});
   const auto sched = graph.run();
   EXPECT_EQ(sched.times[std::size_t(r0)].start, 1.0);
   EXPECT_EQ(sched.times[std::size_t(r1)].start, 1.0);
@@ -172,14 +176,13 @@ TEST(TaskGraphTest, SharedLaneAndRankLanesCoexist) {
 TEST(TaskGraphTest, CriticalPathTelescopesToMakespan) {
   runtime::TaskGraph graph(4);
   std::vector<runtime::TaskId> renders;
-  const auto io = graph.add("io", -1, 0.75, 0, {});
+  const auto io = graph.add(-1, 0.75, 0, {});
   for (std::int64_t r = 0; r < 4; ++r) {
-    renders.push_back(
-        graph.add("render", r, 1.0 + 0.125 * double(r), 1, {io}));
+    renders.push_back(graph.add(r, 1.0 + 0.125 * double(r), 1, {io}));
   }
   for (std::int64_t c = 0; c < 4; ++c) {
-    graph.add("composite", c, 0.5,
-              2, {renders[std::size_t(c)], renders[std::size_t(3 - c)]});
+    graph.add(c, 0.5, 2,
+              {renders[std::size_t(c)], renders[std::size_t(3 - c)]});
   }
   const auto sched = graph.run();
   ASSERT_FALSE(sched.critical_path.empty());
@@ -204,8 +207,8 @@ TEST(TaskGraphTest, CriticalPathTelescopesToMakespan) {
 
 TEST(TaskGraphTest, RunIsPureAndDeterministic) {
   runtime::TaskGraph graph(2);
-  const auto a = graph.add("a", 0, 1.5, 0, {});
-  graph.add("b", 1, 2.5, 0, {a});
+  const auto a = graph.add(0, 1.5, 0, {});
+  graph.add(1, 2.5, 0, {a});
   const auto first = graph.run();
   const auto second = graph.run();
   ASSERT_EQ(first.times.size(), second.times.size());
@@ -217,17 +220,208 @@ TEST(TaskGraphTest, RunIsPureAndDeterministic) {
   EXPECT_EQ(first.makespan, second.makespan);
   EXPECT_EQ(first.critical_path, second.critical_path);
   // run() leaves the graph appendable.
-  graph.add("c", 0, 1.0, 0, {a});
+  graph.add(0, 1.0, 0, {a});
   EXPECT_EQ(graph.num_tasks(), 3);
 }
 
 TEST(TaskGraphTest, LastTaskTieBreaksToLowestId) {
   runtime::TaskGraph graph(2);
-  const auto a = graph.add("a", 0, 2.0, 0, {});
-  graph.add("b", 1, 2.0, 0, {});
+  const auto a = graph.add(0, 2.0, 0, {});
+  graph.add(1, 2.0, 0, {});
   const auto sched = graph.run();
   EXPECT_EQ(sched.makespan, 2.0);
   EXPECT_EQ(sched.last_task, a);
+}
+
+// --- TaskGraph scheduler oracle ----------------------------------------------
+
+/// Reference scheduler: the straightforward form of TaskGraph::run that,
+/// after every timestamp, scans all lanes in ascending order for an idle
+/// lane with pending work. O(lanes) per timestamp, so only fit for tests.
+runtime::TaskSchedule scan_all_lanes_schedule(const runtime::TaskGraph& graph,
+                                              std::int64_t num_lanes) {
+  using runtime::TaskId;
+  struct Event {
+    double time;
+    std::int64_t lane, seq;
+    TaskId task;
+  };
+  struct EventOrder {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      if (a.lane != b.lane) return a.lane > b.lane;
+      return a.seq > b.seq;
+    }
+  };
+  struct Pending {
+    double ready;
+    TaskId task;
+  };
+  struct PendingOrder {
+    bool operator()(const Pending& a, const Pending& b) const {
+      if (a.ready != b.ready) return a.ready > b.ready;
+      return a.task > b.task;
+    }
+  };
+  runtime::TaskSchedule sched;
+  const std::size_t n = std::size_t(graph.num_tasks());
+  sched.times.assign(n, runtime::TaskTimes{});
+  if (n == 0) return sched;
+  std::vector<std::vector<TaskId>> dependents(n);
+  std::vector<std::int32_t> indegree(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& deps = graph.task(TaskId(i)).deps;
+    indegree[i] = std::int32_t(deps.size());
+    for (const TaskId dep : deps) {
+      dependents[std::size_t(dep)].push_back(TaskId(i));
+    }
+  }
+  const std::size_t lanes = std::size_t(num_lanes) + 1;
+  std::vector<char> busy(lanes, 0);
+  std::vector<double> free_at(lanes, 0.0);
+  std::vector<std::priority_queue<Pending, std::vector<Pending>, PendingOrder>>
+      pending(lanes);
+  std::vector<TaskId> lane_last(lanes, -1), lane_pred(n, -1);
+  std::priority_queue<Event, std::vector<Event>, EventOrder> events;
+  std::int64_t seq = 0;
+  const auto start_idle_lanes = [&] {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (busy[l] || pending[l].empty()) continue;
+      const Pending p = pending[l].top();
+      pending[l].pop();
+      const runtime::Task& t = graph.task(p.task);
+      runtime::TaskTimes& tt = sched.times[std::size_t(p.task)];
+      tt.ready = p.ready;
+      tt.start = std::max(p.ready, free_at[l]);
+      tt.finish = tt.start + t.seconds;
+      busy[l] = 1;
+      lane_pred[std::size_t(p.task)] = lane_last[l];
+      lane_last[l] = p.task;
+      sched.busy_seconds += t.seconds;
+      sched.lane_wait_seconds += tt.start - tt.ready;
+      events.push(Event{tt.finish, t.lane, seq++, p.task});
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (indegree[i] == 0) {
+      pending[std::size_t(graph.task(TaskId(i)).lane + 1)].push(
+          Pending{0.0, TaskId(i)});
+    }
+  }
+  start_idle_lanes();
+  while (!events.empty()) {
+    const double now = events.top().time;
+    while (!events.empty() && events.top().time == now) {
+      const Event ev = events.top();
+      events.pop();
+      const std::size_t l = std::size_t(ev.lane + 1);
+      busy[l] = 0;
+      free_at[l] = ev.time;
+      for (const TaskId d : dependents[std::size_t(ev.task)]) {
+        if (--indegree[std::size_t(d)] == 0) {
+          pending[std::size_t(graph.task(d).lane + 1)].push(
+              Pending{ev.time, d});
+        }
+      }
+    }
+    start_idle_lanes();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double best = sched.last_task < 0
+                            ? 0.0
+                            : sched.times[std::size_t(sched.last_task)].finish;
+    if (sched.last_task < 0 || sched.times[i].finish > best) {
+      sched.makespan = sched.times[i].finish;
+      sched.last_task = TaskId(i);
+    }
+  }
+  for (TaskId cur = sched.last_task; cur >= 0;) {
+    sched.critical_path.push_back(cur);
+    const runtime::TaskTimes& tt = sched.times[std::size_t(cur)];
+    if (tt.start == 0.0) break;
+    TaskId next = -1;
+    if (tt.start > tt.ready) {
+      next = lane_pred[std::size_t(cur)];
+    } else {
+      for (const TaskId dep : graph.task(cur).deps) {
+        if (sched.times[std::size_t(dep)].finish == tt.start &&
+            (next < 0 || dep < next)) {
+          next = dep;
+        }
+      }
+    }
+    cur = next;
+  }
+  std::reverse(sched.critical_path.begin(), sched.critical_path.end());
+  return sched;
+}
+
+/// Seeded random DAG over `num_lanes` rank lanes plus the shared lane -1.
+/// Durations are multiples of 0.1 s, zero included: many tasks finish at
+/// the same timestamp, and their sums round, so a different start order
+/// shows in busy_seconds and lane_wait_seconds. A quarter of the tasks land
+/// on 32 hot lanes, which queue several tasks at once.
+runtime::TaskGraph random_dag(std::uint64_t seed, std::int64_t num_lanes,
+                              std::int64_t num_tasks) {
+  Rng rng(seed);
+  runtime::TaskGraph graph(num_lanes);
+  for (std::int64_t i = 0; i < num_tasks; ++i) {
+    const std::uint64_t pick = rng.next_below(16);
+    const std::int64_t lane =
+        pick == 0  ? -1
+        : pick < 5 ? std::int64_t(rng.next_below(
+                         std::uint64_t(std::min<std::int64_t>(32, num_lanes))))
+                   : std::int64_t(rng.next_below(std::uint64_t(num_lanes)));
+    const double seconds = 0.1 * double(rng.next_below(6));
+    std::vector<runtime::TaskId> deps;
+    const std::uint64_t num_deps = i == 0 ? 0 : rng.next_below(4);
+    for (std::uint64_t k = 0; k < num_deps; ++k) {
+      // Mostly recent predecessors (deep chains), sometimes any earlier task.
+      const std::int64_t back =
+          rng.next_below(4) == 0
+              ? std::int64_t(rng.next_below(std::uint64_t(i)))
+              : i - 1 -
+                    std::int64_t(rng.next_below(
+                        std::uint64_t(std::min<std::int64_t>(i, 512))));
+      deps.push_back(runtime::TaskId(back));
+    }
+    graph.add(lane, seconds, std::int32_t(i % 3), std::move(deps));
+  }
+  return graph;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(TaskGraphTest, WokenLaneSchedulerMatchesTheAllLanesScan) {
+  struct Shape {
+    std::uint64_t seed;
+    std::int64_t lanes, tasks;
+  };
+  for (const Shape& shape : {Shape{1, 4096, 12000}, Shape{2, 4096, 12000},
+                             Shape{3, 6000, 8000}, Shape{4, 3, 2000}}) {
+    SCOPED_TRACE("seed " + std::to_string(shape.seed));
+    const runtime::TaskGraph graph =
+        random_dag(shape.seed, shape.lanes, shape.tasks);
+    const runtime::TaskSchedule got = graph.run();
+    const runtime::TaskSchedule want =
+        scan_all_lanes_schedule(graph, shape.lanes);
+    ASSERT_EQ(got.times.size(), want.times.size());
+    std::int64_t lane_waits = 0;
+    for (std::size_t i = 0; i < got.times.size(); ++i) {
+      ASSERT_EQ(bits(got.times[i].ready), bits(want.times[i].ready)) << i;
+      ASSERT_EQ(bits(got.times[i].start), bits(want.times[i].start)) << i;
+      ASSERT_EQ(bits(got.times[i].finish), bits(want.times[i].finish)) << i;
+      lane_waits += want.times[i].start > want.times[i].ready;
+    }
+    EXPECT_EQ(bits(got.makespan), bits(want.makespan));
+    EXPECT_EQ(got.last_task, want.last_task);
+    EXPECT_EQ(bits(got.busy_seconds), bits(want.busy_seconds));
+    EXPECT_EQ(bits(got.lane_wait_seconds), bits(want.lane_wait_seconds));
+    EXPECT_EQ(got.critical_path, want.critical_path);
+    // The DAG exercises what it claims: queued lanes and long chains.
+    EXPECT_GT(lane_waits, 0);
+    EXPECT_GT(want.critical_path.size(), 10u);
+  }
 }
 
 // --- chained mode: BSP byte-identity ---------------------------------------

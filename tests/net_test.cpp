@@ -1,13 +1,22 @@
 // Unit tests for pvr::net — torus routing, exchange cost model, tree model,
-// fault-aware routing and exchange pricing.
+// fault-aware routing and exchange pricing, and the exchange's ring-run link
+// tally checked against a hop-by-hop reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "machine/partition.hpp"
 #include "net/torus.hpp"
 #include "net/tree.hpp"
+#include "obs/metrics.hpp"
+#include "par/thread_pool.hpp"
+#include "util/rng.hpp"
 
 namespace pvr::net {
 namespace {
@@ -295,6 +304,202 @@ TEST(TorusFaultTest, DetouredExchangeChargesTheExtraHops) {
   EXPECT_EQ(stats.rerouted_hops, 3);
   EXPECT_EQ(cost.max_hops, 3);
   EXPECT_EQ(cost.messages, 1);
+}
+
+// --- Link tally oracle -------------------------------------------------------
+
+/// Reference pricing of one exchange: every transfer walks its route hop by
+/// hop (route_with_faults, which is route() under an empty plan) into
+/// per-link and per-node tallies, then the exchange's cost formulas fold
+/// them. `link_bytes` holds every link that carried a message.
+struct ReferenceExchange {
+  ExchangeCost cost;
+  fault::FaultStats stats;
+  std::map<std::int64_t, std::int64_t> link_bytes;
+};
+
+ReferenceExchange reference_exchange(const TorusModel& torus,
+                                     const std::vector<Transfer>& transfers,
+                                     int rounds, const fault::FaultPlan& plan) {
+  const auto& part = torus.partition();
+  const auto& cfg = part.config();
+  const std::int64_t nodes = part.num_nodes();
+  struct Load {
+    std::int64_t send_msgs = 0, recv_msgs = 0, send_bytes = 0, recv_bytes = 0,
+                 local_bytes = 0, failed_sends = 0;
+  };
+  std::vector<std::int64_t> link_bytes(std::size_t(torus.num_links()), 0);
+  std::vector<std::int64_t> link_msgs(std::size_t(torus.num_links()), 0);
+  std::vector<Load> load(static_cast<std::size_t>(nodes));
+  ReferenceExchange ref;
+  ExchangeCost& cost = ref.cost;
+  double pressure_events = 0.0;
+  for (const Transfer& t : transfers) {
+    const std::int64_t src = part.node_of_rank(t.src_rank);
+    const std::int64_t dst = part.node_of_rank(t.dst_rank);
+    FaultRoute fr;
+    fr.reachable = !plan.node_failed(src) && !plan.node_failed(dst);
+    if (fr.reachable) {
+      fr = torus.route_with_faults(src, dst, plan, [&](const LinkId& l) {
+        link_bytes[std::size_t(torus.link_index(l))] += t.bytes;
+        ++link_msgs[std::size_t(torus.link_index(l))];
+      });
+    }
+    if (!fr.reachable) {
+      if (!plan.node_failed(src)) ++load[std::size_t(src)].failed_sends;
+      ++ref.stats.undeliverable_messages;
+      ref.stats.retries += plan.spec().max_retries;
+      continue;
+    }
+    if (fr.detoured) {
+      ++ref.stats.rerouted_messages;
+      ref.stats.rerouted_hops += fr.hops;
+    }
+    ++cost.messages;
+    cost.total_bytes += t.bytes;
+    pressure_events += 2.0 * cfg.small_msg_pressure_bytes /
+                       (cfg.small_msg_pressure_bytes + double(t.bytes));
+    if (src == dst) {
+      ++cost.local_messages;
+      load[std::size_t(src)].local_bytes += t.bytes;
+      continue;
+    }
+    ++load[std::size_t(src)].send_msgs;
+    load[std::size_t(src)].send_bytes += t.bytes;
+    ++load[std::size_t(dst)].recv_msgs;
+    load[std::size_t(dst)].recv_bytes += t.bytes;
+    cost.max_hops = std::max(cost.max_hops, fr.hops);
+  }
+  const double pressure = pressure_events / double(nodes) / double(rounds);
+  cost.congestion_factor =
+      1.0 + std::min(cfg.congestion_max,
+                     std::pow(pressure / cfg.congestion_kappa,
+                              cfg.congestion_gamma));
+  for (std::size_t i = 0; i < link_bytes.size(); ++i) {
+    if (link_msgs[i] == 0) continue;
+    ref.link_bytes[std::int64_t(i)] = link_bytes[i];
+    const double bytes = double(link_bytes[i]);
+    const double bw = cfg.torus_link_bw *
+                      torus.message_efficiency(bytes / double(link_msgs[i]));
+    if (bytes / bw > cost.link_seconds) {
+      cost.link_seconds = bytes / bw;
+      cost.bottleneck_link = std::int64_t(i);
+    }
+  }
+  const auto& spec = plan.spec();
+  const double retry_penalty =
+      plan.empty() ? 0.0 : double(spec.max_retries) * spec.retry_timeout;
+  for (std::size_t node = 0; node < load.size(); ++node) {
+    const Load& nl = load[node];
+    const double hot_factor =
+        double(nl.recv_msgs) > cfg.hotspot_indegree ? cfg.hotspot_factor : 1.0;
+    const double msg_cost =
+        cfg.msg_overhead * cost.congestion_factor *
+        (double(nl.send_msgs) + double(nl.recv_msgs) * hot_factor);
+    const double wire =
+        double(nl.send_bytes + nl.recv_bytes) / cfg.torus_link_bw +
+        double(nl.local_bytes) / (4.0 * cfg.torus_link_bw);
+    const double retry_seconds = double(nl.failed_sends) * retry_penalty;
+    const double endpoint = msg_cost + wire + retry_seconds;
+    if (endpoint > cost.endpoint_seconds) {
+      cost.endpoint_seconds = endpoint;
+      cost.bottleneck_node = std::int64_t(node);
+    }
+    cost.retry_seconds = std::max(cost.retry_seconds, retry_seconds);
+  }
+  cost.latency_seconds = cfg.torus_max_latency;
+  cost.skew_seconds =
+      cfg.sync_skew_base +
+      cfg.sync_skew_per_log2 * std::log2(std::max<double>(2.0, double(nodes)));
+  cost.seconds = std::max(cost.link_seconds, cost.endpoint_seconds) +
+                 cost.latency_seconds + cost.skew_seconds;
+  return ref;
+}
+
+void expect_bitwise_equal(const ExchangeCost& a, const ExchangeCost& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(a.seconds), bits(b.seconds));
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.local_messages, b.local_messages);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  EXPECT_EQ(a.max_hops, b.max_hops);
+  EXPECT_EQ(bits(a.congestion_factor), bits(b.congestion_factor));
+  EXPECT_EQ(bits(a.link_seconds), bits(b.link_seconds));
+  EXPECT_EQ(bits(a.endpoint_seconds), bits(b.endpoint_seconds));
+  EXPECT_EQ(bits(a.latency_seconds), bits(b.latency_seconds));
+  EXPECT_EQ(bits(a.skew_seconds), bits(b.skew_seconds));
+  EXPECT_EQ(bits(a.retry_seconds), bits(b.retry_seconds));
+  EXPECT_EQ(a.bottleneck_link, b.bottleneck_link);
+  EXPECT_EQ(a.bottleneck_node, b.bottleneck_node);
+}
+
+/// Seeded transfers: random rank pairs (so routes wrap around rings), one in
+/// eight kept on the sender's node, sizes from 0 bytes to 1 MiB. `ranks` is
+/// a multiple of the 4 cores per node.
+std::vector<Transfer> random_transfers(std::uint64_t seed,
+                                       std::int64_t ranks, std::int64_t n) {
+  Rng rng(seed);
+  std::vector<Transfer> transfers;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto src = std::int64_t(rng.next_below(std::uint64_t(ranks)));
+    std::int64_t dst = std::int64_t(rng.next_below(std::uint64_t(ranks)));
+    if (rng.next_below(8) == 0) dst = src - src % 4 + (dst % 4);
+    transfers.push_back({src, dst,
+                         std::int64_t(rng.next_below(1 << 20)) *
+                             std::int64_t(rng.next_below(4) != 0)});
+  }
+  return transfers;
+}
+
+TEST(TorusExchangeTest, RingRunTallyMatchesTheHopByHopWalk) {
+  // 1x1x1, 1x1x2, 1x1x7, 3x3x3, 3x4x5 and 8x8x8 nodes: unit rings, the
+  // two-node ring whose + and - links join the same pair, odd rings, and
+  // even rings with exact half-ring ties (+ wins).
+  for (const std::int64_t ranks : {4, 8, 28, 108, 240, 2048}) {
+    const auto part = make_partition(ranks);
+    const TorusModel torus(part);
+    const Vec3i dims = part.torus_dims();
+    SCOPED_TRACE("torus " + std::to_string(dims.x) + "x" +
+                 std::to_string(dims.y) + "x" + std::to_string(dims.z));
+    const std::int64_t nodes = part.num_nodes();
+    // A failed + link on the longest ring forces detours; a dead node makes
+    // some endpoints unreachable.
+    const fault::FaultPlan healthy;
+    const fault::FaultPlan faulty = [&] {
+      fault::FaultPlan plan;
+      if (nodes >= 2) plan.fail_link(0, dims.z > 1 ? 2 : 0, 0);
+      if (nodes >= 4) plan.fail_node(nodes / 2 + 1);
+      return plan;
+    }();
+    for (const fault::FaultPlan* plan : {&healthy, &faulty}) {
+      const std::vector<Transfer> transfers =
+          random_transfers(std::uint64_t(ranks), ranks, 1500);
+      const int rounds = plan->empty() ? 1 : 3;
+      const ReferenceExchange want =
+          reference_exchange(torus, transfers, rounds, *plan);
+      if (!plan->empty() && nodes >= 4) {
+        EXPECT_GT(want.stats.rerouted_messages, 0);
+        EXPECT_GT(want.stats.undeliverable_messages, 0);
+      }
+      EXPECT_GT(want.cost.local_messages, 0);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(plan->empty() ? "healthy" : "faulty") +
+                     ", threads " + std::to_string(threads));
+        par::ThreadPool pool(threads);
+        obs::MetricsRegistry metrics;
+        fault::FaultStats stats;
+        const ExchangeCost got = torus.exchange(transfers, rounds, plan,
+                                                &stats, &metrics, &pool);
+        expect_bitwise_equal(got, want.cost);
+        EXPECT_EQ(metrics.indexed("net.link_bytes").by_index, want.link_bytes);
+        EXPECT_EQ(stats.undeliverable_messages,
+                  want.stats.undeliverable_messages);
+        EXPECT_EQ(stats.retries, want.stats.retries);
+        EXPECT_EQ(stats.rerouted_messages, want.stats.rerouted_messages);
+        EXPECT_EQ(stats.rerouted_hops, want.stats.rerouted_hops);
+      }
+    }
+  }
 }
 
 TEST(TreeModelTest, DepthAndBarrier) {
