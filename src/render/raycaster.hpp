@@ -11,6 +11,7 @@
 
 #include "par/thread_pool.hpp"
 #include "render/camera.hpp"
+#include "render/simd/backend.hpp"
 #include "render/transfer_function.hpp"
 #include "util/brick.hpp"
 #include "util/color.hpp"
@@ -23,8 +24,10 @@ namespace pvr::render {
 /// counts (tests pin this); kSimd marches 8-ray packets in lockstep over
 /// cache-blocked pixel tiles (src/render/simd/).
 enum class RaycastKernel {
-  kScalar,  ///< one ray at a time (reference path, the default)
-  kSimd,    ///< 8-wide ray packets, tile-blocked traversal
+  kScalar,  ///< one ray at a time: the reference march the tests compare
+            ///< against, and the default on the lane-loop backend
+  kSimd,    ///< 8-wide ray packets, tile-blocked traversal, constant-
+            ///< macrocell fast path; the default on a vector backend
 };
 
 struct RenderConfig {
@@ -37,8 +40,12 @@ struct RenderConfig {
   /// Values mapped to [0,1] for the transfer function: (v - lo) / (hi - lo).
   float value_lo = 0.0f;
   float value_hi = 1.0f;
-  /// Kernel selection; results are identical, only speed differs.
-  RaycastKernel kernel = RaycastKernel::kScalar;
+  /// Kernel selection; results are identical, only speed differs. The
+  /// default is the packet kernel where the build has a vector backend
+  /// (PVR_SIMD=auto or avx2) and the scalar march on the lane-loop fallback
+  /// (PVR_SIMD=scalar), where packets are slower than single rays.
+  RaycastKernel kernel = simd::kVectorBackend ? RaycastKernel::kSimd
+                                              : RaycastKernel::kScalar;
   /// Cache-block tile shape (pixels) for the SIMD kernel's depth-
   /// synchronized traversal; ignored by the scalar kernel.
   int tile_w = 32;

@@ -1,6 +1,7 @@
 #include "render/simd/packet_kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -49,10 +50,12 @@ struct Constants {
   Double8 rlo_x, rlo_y, rlo_z, rhi_x, rhi_y, rhi_z;  // region membership box
   Double8 inv_h, half, dzero;
   AxisClamp ax[3];
-  Int8 ex, ey;  // brick extents for linear indexing
+  Int8 ex, ey;    // brick extents for linear indexing
+  Int8 cnx, cny;  // macrocell counts for the cell index
   Int8 ione;
   Float8 scale, bias, early, fone;
   const float* data = nullptr;
+  const float* cells = nullptr;
   const TfLut* lut = nullptr;
 };
 
@@ -81,12 +84,15 @@ Constants make_constants(const KernelParams& kp) {
   }
   c.ex = Int8::broadcast(std::int32_t(e.x));
   c.ey = Int8::broadcast(std::int32_t(e.y));
+  c.cnx = Int8::broadcast(std::int32_t(kp.cells->count.x));
+  c.cny = Int8::broadcast(std::int32_t(kp.cells->count.y));
   c.ione = Int8::broadcast(1);
   c.scale = Float8::broadcast(kp.value_scale);
   c.bias = Float8::broadcast(kp.value_bias);
   c.early = Float8::broadcast(kp.early_termination);
   c.fone = Float8::broadcast(1.0f);
   c.data = kp.brick->data().data();
+  c.cells = kp.cells->value.data();
   c.lut = kp.lut;
   return c;
 }
@@ -200,7 +206,7 @@ void setup_packet(const KernelParams& kp, int px_begin, int px_count, int py,
 
   // sample_world, vectorized. The edge clamp bounds every lane's indices
   // into the brick (even non-member lanes, whose positions are finite), so
-  // the corner gathers below are unconditionally in-bounds.
+  // the cell and corner gathers below are unconditionally in-bounds.
   Int8 i0[3];
   Double8 frac[3];
   const Double8 p[3] = {px, py, pz};
@@ -217,37 +223,51 @@ void setup_packet(const KernelParams& kp, int px_begin, int px_count, int py,
     i0[axis] = iv;
     frac[axis] = f;
   }
-  const Int8 x1 = min(i0[0] + c.ione, c.ax[0].x1_max);
-  const Int8 y1 = min(i0[1] + c.ione, c.ax[1].x1_max);
-  const Int8 z1 = min(i0[2] + c.ione, c.ax[2].x1_max);
-  // Linear indices: ((z - lo.z) * ey + (y - lo.y)) * ex + (x - lo.x).
-  const Int8 rx0 = i0[0] - c.ax[0].lo, rx1 = x1 - c.ax[0].lo;
-  const Int8 ry0 = i0[1] - c.ax[1].lo, ry1 = y1 - c.ax[1].lo;
-  const Int8 rz0 = i0[2] - c.ax[2].lo, rz1 = z1 - c.ax[2].lo;
-  const Int8 b00 = (rz0 * c.ey + ry0) * c.ex;
-  const Int8 b10 = (rz0 * c.ey + ry1) * c.ex;
-  const Int8 b01 = (rz1 * c.ey + ry0) * c.ex;
-  const Int8 b11 = (rz1 * c.ey + ry1) * c.ex;
-  const Int8 i000 = b00 + rx0, i100 = b00 + rx1;
-  const Int8 i010 = b10 + rx0, i110 = b10 + rx1;
-  const Int8 i001 = b01 + rx0, i101 = b01 + rx1;
-  const Int8 i011 = b11 + rx0, i111 = b11 + rx1;
-  const float* data = c.data;
-  Float8 c000, c100, c010, c110, c001, c101, c011, c111;
-  gather2(data, i000, i100, &c000, &c100);
-  gather2(data, i010, i110, &c010, &c110);
-  gather2(data, i001, i101, &c001, &c101);
-  gather2(data, i011, i111, &c011, &c111);
-  const Float8 fx = to_float(frac[0]);
-  const Float8 fy = to_float(frac[1]);
-  const Float8 fz = to_float(frac[2]);
-  const Float8 c00 = c000 + fx * (c100 - c000);
-  const Float8 c10 = c010 + fx * (c110 - c010);
-  const Float8 c01 = c001 + fx * (c101 - c001);
-  const Float8 c11 = c011 + fx * (c111 - c011);
-  const Float8 c0 = c00 + fy * (c10 - c00);
-  const Float8 c1 = c01 + fy * (c11 - c01);
-  const Float8 raw = c0 + fz * (c1 - c0);
+  // Brick-relative stencil origins, shared by the cell index and the
+  // linear corner indices ((z - lo.z) * ey + (y - lo.y)) * ex + (x - lo.x).
+  const Int8 rx0 = i0[0] - c.ax[0].lo;
+  const Int8 ry0 = i0[1] - c.ax[1].lo;
+  const Int8 rz0 = i0[2] - c.ax[2].lo;
+  // Constant-macrocell fast path: when every member lane's stencil lies in
+  // a constant cell (NaN marks the others; `x >= x` is false only for NaN),
+  // the trilinear blend would return the cell's value bit for bit, so the
+  // eight corner gathers are skipped. Non-member lanes' values are unused.
+  constexpr int kCell = Macrocells::kShift;
+  const Float8 cell = gather(
+      c.cells,
+      ((rz0 >> kCell) * c.cny + (ry0 >> kCell)) * c.cnx + (rx0 >> kCell));
+  Float8 raw;
+  if (!any(member & ~(cell >= cell))) {
+    raw = cell;
+  } else {
+    const Int8 rx1 = min(i0[0] + c.ione, c.ax[0].x1_max) - c.ax[0].lo;
+    const Int8 ry1 = min(i0[1] + c.ione, c.ax[1].x1_max) - c.ax[1].lo;
+    const Int8 rz1 = min(i0[2] + c.ione, c.ax[2].x1_max) - c.ax[2].lo;
+    const Int8 b00 = (rz0 * c.ey + ry0) * c.ex;
+    const Int8 b10 = (rz0 * c.ey + ry1) * c.ex;
+    const Int8 b01 = (rz1 * c.ey + ry0) * c.ex;
+    const Int8 b11 = (rz1 * c.ey + ry1) * c.ex;
+    const Int8 i000 = b00 + rx0, i100 = b00 + rx1;
+    const Int8 i010 = b10 + rx0, i110 = b10 + rx1;
+    const Int8 i001 = b01 + rx0, i101 = b01 + rx1;
+    const Int8 i011 = b11 + rx0, i111 = b11 + rx1;
+    const float* data = c.data;
+    Float8 c000, c100, c010, c110, c001, c101, c011, c111;
+    gather2(data, i000, i100, &c000, &c100);
+    gather2(data, i010, i110, &c010, &c110);
+    gather2(data, i001, i101, &c001, &c101);
+    gather2(data, i011, i111, &c011, &c111);
+    const Float8 fx = to_float(frac[0]);
+    const Float8 fy = to_float(frac[1]);
+    const Float8 fz = to_float(frac[2]);
+    const Float8 c00 = c000 + fx * (c100 - c000);
+    const Float8 c10 = c010 + fx * (c110 - c010);
+    const Float8 c01 = c001 + fx * (c101 - c001);
+    const Float8 c11 = c011 + fx * (c111 - c011);
+    const Float8 c0 = c00 + fy * (c10 - c00);
+    const Float8 c1 = c01 + fy * (c11 - c01);
+    raw = c0 + fz * (c1 - c0);
+  }
 
   const Float8 vn = raw * c.scale + c.bias;
   Float8 sr, sg, sb, sa;
@@ -361,6 +381,46 @@ Rgba finish_lane_scalar(const KernelParams& kp, const LaneRay ln,
 }
 
 }  // namespace
+
+Macrocells build_macrocells(const Brick& brick) {
+  const Vec3i e = brick.box().extent();
+  constexpr std::int64_t kSide = std::int64_t{1} << Macrocells::kShift;
+  Macrocells m;
+  m.count = {(e.x + kSide - 1) / kSide, (e.y + kSide - 1) / kSide,
+             (e.z + kSide - 1) / kSide};
+  m.value.reserve(std::size_t(m.count.x * m.count.y * m.count.z));
+  const float* data = brick.data().data();
+  const std::uint32_t neg_zero = std::bit_cast<std::uint32_t>(-0.0f);
+  for (std::int64_t cz = 0; cz < m.count.z; ++cz) {
+    for (std::int64_t cy = 0; cy < m.count.y; ++cy) {
+      for (std::int64_t cx = 0; cx < m.count.x; ++cx) {
+        // Voxels read by stencils with origin in this cell: origins
+        // [c * side, c * side + side) plus the +1 neighbor, clipped.
+        const Vec3i lo{cx * kSide, cy * kSide, cz * kSide};
+        const Vec3i hi{std::min(lo.x + kSide + 1, e.x),
+                       std::min(lo.y + kSide + 1, e.y),
+                       std::min(lo.z + kSide + 1, e.z)};
+        const float v = data[std::size_t((lo.z * e.y + lo.y) * e.x + lo.x)];
+        const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+        bool constant = std::isfinite(v) && bits != neg_zero;
+        for (std::int64_t z = lo.z; constant && z < hi.z; ++z) {
+          for (std::int64_t y = lo.y; constant && y < hi.y; ++y) {
+            const float* row = data + std::size_t((z * e.y + y) * e.x);
+            for (std::int64_t x = lo.x; x < hi.x; ++x) {
+              if (std::bit_cast<std::uint32_t>(row[x]) != bits) {
+                constant = false;
+                break;
+              }
+            }
+          }
+        }
+        m.value.push_back(constant ? v
+                                   : std::numeric_limits<float>::quiet_NaN());
+      }
+    }
+  }
+  return m;
+}
 
 std::int64_t render_rows(const KernelParams& kp, const Rect& rect,
                          std::int64_t row_begin, std::int64_t row_end,

@@ -2,11 +2,13 @@
 // sample lattice, cache-blocked into pixel tiles. Slots in under
 // Raycaster::render_rect as a drop-in replacement for the scalar per-ray
 // loop — per-lane arithmetic replays the scalar integrate_ray expression
-// by expression, so the produced pixels and sample counts are bitwise
-// identical (see DESIGN.md §8, "SIMD kernel & cache blocking").
+// by expression, except where a constant macrocell makes the trilinear
+// blend's result known exactly, so the produced pixels and sample counts
+// are bitwise identical (see DESIGN.md §8.1).
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "render/camera.hpp"
 #include "render/simd/tf_lut.hpp"
@@ -16,12 +18,31 @@
 
 namespace pvr::render::simd {
 
+/// Constant-macrocell table of one brick: a float per cell of 8x8x8
+/// trilinear stencil origins (brick-relative origin i0 falls in cell
+/// i0 >> kShift per axis). A cell holds the value v when every voxel its
+/// stencils read — the cell plus its +1 apron, clipped to the brick — has
+/// the bit pattern of v, and v is finite and not -0.0. Then every trilinear
+/// sample in the cell is exactly v: v - v == +0.0, so v + f * (v - v) == v
+/// for any fraction f in [0, 1] (without FMA contraction). Any other cell
+/// holds NaN.
+struct Macrocells {
+  static constexpr int kShift = 3;
+  Vec3i count;               ///< cells per axis
+  std::vector<float> value;  ///< x-fastest, count.x * count.y * count.z
+};
+
+/// Builds the table for `brick`. A cell's scan stops at its first mismatch;
+/// an all-constant brick reads each voxel ~1.4 times (the aprons overlap).
+Macrocells build_macrocells(const Brick& brick);
+
 /// Everything the packet kernel needs, hoisted once per render_rect call.
 /// All values mirror the scalar path's per-ray constants exactly.
 struct KernelParams {
   const Brick* brick = nullptr;
   const Camera* camera = nullptr;
   const TfLut* lut = nullptr;
+  const Macrocells* cells = nullptr;  ///< build_macrocells(*brick)
   Box3d region;   ///< half-open sample-ownership box (world space)
   Box3d vol;      ///< whole-volume world box (lattice origin)
   bool region_is_volume = false;

@@ -10,15 +10,19 @@ namespace {
 
 /// powf(x, 1) == x is an IEEE-754 special case; verify the host libm
 /// honors it before relying on the identity to skip per-sample pow calls.
+/// Checked once per process: every render_rect call builds a TfLut.
 bool pow_identity_holds() {
-  for (int i = 0; i <= 1024; ++i) {
-    const float x = float(i) / 1024.0f;
-    if (std::pow(x, 1.0f) != x) return false;
-  }
-  for (const float x : {1e-30f, 1e-7f, 0.3333333f, 0.9999999f, 1.0f}) {
-    if (std::pow(x, 1.0f) != x) return false;
-  }
-  return true;
+  static const bool holds = [] {
+    for (int i = 0; i <= 1024; ++i) {
+      const float x = float(i) / 1024.0f;
+      if (std::pow(x, 1.0f) != x) return false;
+    }
+    for (const float x : {1e-30f, 1e-7f, 0.3333333f, 0.9999999f, 1.0f}) {
+      if (std::pow(x, 1.0f) != x) return false;
+    }
+    return true;
+  }();
+  return holds;
 }
 
 }  // namespace

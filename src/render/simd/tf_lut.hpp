@@ -15,8 +15,8 @@
 //     evaluated element-wise.
 //   * Opacity correction: for the common step_voxels == 1 case the
 //     1 - pow(1 - a, 1) round trip collapses to 1 - (1 - a). The LUT uses
-//     that identity only after verifying at construction that the host's
-//     powf(x, 1) == x (IEEE-754 requires it; the check is cheap insurance
+//     that identity only after verifying, once per process, that the
+//     host's powf(x, 1) == x (IEEE-754 requires it; the check is insurance
 //     against a non-conforming libm). Any other step calls the same
 //     std::pow per lane.
 //

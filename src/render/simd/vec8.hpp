@@ -20,9 +20,7 @@
 #include <cmath>
 #include <cstdint>
 
-#if !defined(PVR_SIMD_SCALAR) && (defined(__clang__) || defined(__GNUC__))
-#define PVR_SIMD_VECTOR_EXT 1
-#endif
+#include "render/simd/backend.hpp"
 
 #if defined(PVR_SIMD_VECTOR_EXT) && defined(__AVX__)
 #include <immintrin.h>
@@ -58,6 +56,7 @@ struct Int8 {
   Int8 operator+(const Int8& o) const { return {v + o.v}; }
   Int8 operator-(const Int8& o) const { return {v - o.v}; }
   Int8 operator*(const Int8& o) const { return {v * o.v}; }
+  Int8 operator>>(int s) const { return {v >> s}; }
   Int8 operator<(const Int8& o) const { return {(detail::vi8)(v < o.v)}; }
   Int8 operator>(const Int8& o) const { return {(detail::vi8)(v > o.v)}; }
 };
@@ -263,6 +262,11 @@ struct Int8 {
   Int8 operator*(const Int8& o) const {
     Int8 r;
     for (int i = 0; i < kLanes; ++i) r.v[i] = v[i] * o.v[i];
+    return r;
+  }
+  Int8 operator>>(int s) const {
+    Int8 r;
+    for (int i = 0; i < kLanes; ++i) r.v[i] = v[i] >> s;
     return r;
   }
   Int8 operator<(const Int8& o) const {
@@ -481,15 +485,20 @@ inline Float8 gather(const float* base, const Int8& idx) {
 
 /// Two gathers from the same base, as one 16-lane gather where AVX-512 is
 /// available (the packet kernel's eight trilinear-corner gathers pair up
-/// into four of these). Identical loads, fewer instructions.
+/// into four of these). Identical loads, fewer instructions. GCC 12's
+/// 256->512 casts, `_mm512_inserti64x4` and the unmasked gather merge into
+/// `_mm*_undefined_*` values that -Wmaybe-uninitialized flags, so the index
+/// halves join with a plain vector shuffle and the gather and extracts use
+/// the forms with a zeroed pass-through (the same instructions either way).
 inline void gather2(const float* base, const Int8& ia, const Int8& ib,
                     Float8* ra, Float8* rb) {
 #if defined(PVR_SIMD_VECTOR_EXT) && defined(__AVX512F__) && \
-    defined(__AVX512DQ__)
-  const __m512i idx = _mm512_inserti64x4(
-      _mm512_castsi256_si512((__m256i)ia.v), (__m256i)ib.v, 1);
-  const __m512 g = _mm512_i32gather_ps(idx, base, 4);
-  *ra = {(detail::vf8)_mm512_castps512_ps256(g)};
+    defined(__AVX512DQ__) && __has_builtin(__builtin_shufflevector)
+  const __m512i idx = (__m512i)__builtin_shufflevector(
+      ia.v, ib.v, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  const __m512 g =
+      _mm512_mask_i32gather_ps(_mm512_setzero_ps(), 0xFFFF, idx, base, 4);
+  *ra = {(detail::vf8)_mm512_extractf32x8_ps(g, 0)};
   *rb = {(detail::vf8)_mm512_extractf32x8_ps(g, 1)};
 #else
   *ra = gather(base, ia);

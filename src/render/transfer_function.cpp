@@ -18,7 +18,10 @@ TransferFunction::TransferFunction(std::vector<ControlPoint> points)
 
 TransferFunction::ControlPoint TransferFunction::lookup(float value) const {
   const float v = std::clamp(value, 0.0f, 1.0f);
-  if (v <= points_.front().value) return points_.front();
+  // Written `!(front < v)` so a NaN value (a NaN voxel, or inf - inf in a
+  // trilinear blend) takes the front point, as TfLut does, instead of
+  // spreading NaN through the segment lerp.
+  if (!(points_.front().value < v)) return points_.front();
   if (v >= points_.back().value) return points_.back();
   std::size_t hi = 1;
   while (points_[hi].value < v) ++hi;

@@ -4,10 +4,13 @@
 #include <unistd.h>
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <tuple>
 
 #include "core/pipeline.hpp"
 #include "data/writers.hpp"
+#include "render/simd/backend.hpp"
 
 namespace pvr::core {
 namespace {
@@ -109,6 +112,122 @@ TEST(ExecuteFrameTest, ImprovedPolicySameImage) {
   EXPECT_EQ(stats.composite.num_compositors, 3);
   EXPECT_LT(out.max_difference(serial_reference(cfg)), 2e-3f);
 }
+
+// Every FrameStats field, struct by struct, as comparable tuples.
+auto fields(const net::ExchangeCost& x) {
+  return std::tie(x.seconds, x.messages, x.local_messages, x.total_bytes,
+                  x.max_hops, x.congestion_factor, x.link_seconds,
+                  x.endpoint_seconds, x.latency_seconds, x.skew_seconds,
+                  x.retry_seconds, x.bottleneck_link, x.bottleneck_node);
+}
+auto fields(const iolib::ReadResult& x) {
+  const storage::IoCost& c = x.storage_cost;
+  return std::tuple_cat(
+      std::tie(x.seconds, x.open_seconds, x.useful_bytes, x.physical_bytes,
+               x.accesses, c.seconds, c.accesses, c.physical_bytes,
+               c.startup_seconds, c.server_seconds, c.ion_seconds,
+               c.cap_seconds, c.client_seconds),
+      fields(x.shuffle_cost));
+}
+auto fields(const compose::CompositeStats& x) {
+  return std::tuple_cat(std::tie(x.seconds, x.blend_seconds,
+                                 x.num_compositors, x.messages, x.bytes),
+                        fields(x.exchange));
+}
+auto fields(const fault::FaultStats& x) {
+  return std::tie(x.failed_nodes, x.failed_links, x.failed_ions,
+                  x.failed_servers, x.degraded_servers, x.degraded_nodes,
+                  x.undeliverable_messages, x.retries, x.rerouted_messages,
+                  x.rerouted_hops, x.reassigned_partitions,
+                  x.reassigned_aggregators, x.dropped_blocks,
+                  x.substituted_partners, x.proxied_messages,
+                  x.rerouted_clients, x.failover_extents, x.coverage);
+}
+
+void expect_same_stats(const FrameStats& a, const FrameStats& b) {
+  EXPECT_EQ(std::tie(a.io_seconds, a.render_seconds, a.composite_seconds,
+                     a.write_seconds),
+            std::tie(b.io_seconds, b.render_seconds, b.composite_seconds,
+                     b.write_seconds));
+  EXPECT_EQ(fields(a.io), fields(b.io));
+  EXPECT_EQ(fields(a.write_io), fields(b.write_io));
+  EXPECT_EQ(std::tie(a.render.total_samples, a.render.max_rank_samples,
+                     a.render.seconds, a.render.straggler_rank),
+            std::tie(b.render.total_samples, b.render.max_rank_samples,
+                     b.render.seconds, b.render.straggler_rank));
+  EXPECT_EQ(fields(a.composite), fields(b.composite));
+  EXPECT_EQ(fields(a.faults), fields(b.faults));
+  EXPECT_EQ(std::tie(a.steal.policy, a.steal.chunks_stolen,
+                     a.steal.bytes_replicated, a.steal.steal_seconds,
+                     a.steal.straggler_before, a.steal.straggler_after),
+            std::tie(b.steal.policy, b.steal.chunks_stolen,
+                     b.steal.bytes_replicated, b.steal.steal_seconds,
+                     b.steal.straggler_before, b.steal.straggler_after));
+  EXPECT_EQ(std::tie(a.async.enabled, a.async.dependency, a.async.tasks,
+                     a.async.edges, a.async.bsp_seconds,
+                     a.async.reclaimed_seconds, a.async.lane_wait_seconds,
+                     a.async.readahead_seconds),
+            std::tie(b.async.enabled, b.async.dependency, b.async.tasks,
+                     b.async.edges, b.async.bsp_seconds,
+                     b.async.reclaimed_seconds, b.async.lane_wait_seconds,
+                     b.async.readahead_seconds));
+  EXPECT_EQ(std::tie(a.trace.enabled, a.trace.spans, a.trace.instants,
+                     a.trace.frame_seconds, a.trace.io_seconds,
+                     a.trace.render_seconds, a.trace.composite_seconds,
+                     a.trace.exchange_seconds, a.trace.collective_seconds,
+                     a.trace.storage_seconds),
+            std::tie(b.trace.enabled, b.trace.spans, b.trace.instants,
+                     b.trace.frame_seconds, b.trace.io_seconds,
+                     b.trace.render_seconds, b.trace.composite_seconds,
+                     b.trace.exchange_seconds, b.trace.collective_seconds,
+                     b.trace.storage_seconds));
+}
+
+TEST(DefaultKernelTest, PacketKernelExactlyOnVectorBackends) {
+  EXPECT_EQ(render::RenderConfig{}.kernel,
+            render::simd::kVectorBackend ? render::RaycastKernel::kSimd
+                                         : render::RaycastKernel::kScalar);
+  EXPECT_EQ(ExperimentConfig{}.render.kernel, render::RenderConfig{}.kernel);
+}
+
+// The default-kernel execute frame against the same frame under the scalar
+// reference march: image bytes and every FrameStats field, healthy and with
+// scanline-chunk stealing (thief ranks render row bands), at 1 and 4 host
+// threads.
+class DefaultKernelFrame
+    : public ::testing::TestWithParam<std::tuple<bool, int>> {};
+
+TEST_P(DefaultKernelFrame, MatchesTheScalarFrame) {
+  const auto [steal, threads] = GetParam();
+  TempDir dir;
+  ExperimentConfig cfg = small_config(format::FileFormat::kRaw, 27);
+  cfg.host_threads = threads;
+  if (steal) {
+    cfg.steal.policy = steal::StealPolicy::kScanlineChunks;
+    cfg.steal.chunks_per_block = 8;
+  }
+  const std::string path = dir.file("vol.raw");
+  data::write_supernova_file(cfg.dataset, path, 1530);
+
+  ParallelVolumeRenderer by_default(cfg);
+  cfg.render.kernel = render::RaycastKernel::kScalar;
+  ParallelVolumeRenderer scalar(cfg);
+  Image a, b;
+  const FrameStats sa = by_default.execute_frame(path, &a);
+  const FrameStats sb = scalar.execute_frame(path, &b);
+  if (steal) {
+    EXPECT_GT(sa.steal.chunks_stolen, 0);
+  }
+  ASSERT_EQ(a.pixels().size(), b.pixels().size());
+  EXPECT_EQ(std::memcmp(a.pixels().data(), b.pixels().data(),
+                        a.pixels().size_bytes()),
+            0);
+  expect_same_stats(sa, sb);
+}
+
+INSTANTIATE_TEST_SUITE_P(StealAndThreads, DefaultKernelFrame,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Values(1, 4)));
 
 TEST(ModelFrameTest, PaperScaleRunsAndIsConsistent) {
   ExperimentConfig cfg;

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "data/synthetic.hpp"
 #include "par/thread_pool.hpp"
@@ -312,6 +314,121 @@ TEST(SimdKernelTest, RowBandStitchingUnderSimd) {
   }
   expect_identical(whole, stitched);
 }
+
+// ---------------- constant-macrocell fast path ----------------
+
+// A 40^3 density field with planted regions. Each is a box in global
+// voxel coordinates; the decomposed bricks below start at voxel 0 or 19,
+// so the boxes straddle both 8^3 cell edges and brick edges (where a
+// cell's +1 apron is clipped).
+Brick planted_volume(const Vec3i& dims) {
+  Brick v = whole_brick(dims, 17);
+  const auto plant = [&](const Box3i& box, auto value_at) {
+    for (std::int64_t z = box.lo.z; z < box.hi.z; ++z) {
+      for (std::int64_t y = box.lo.y; y < box.hi.y; ++y) {
+        for (std::int64_t x = box.lo.x; x < box.hi.x; ++x) {
+          v.at(x, y, z) = value_at(x, y, z);
+        }
+      }
+    }
+  };
+  const auto constant = [](float c) {
+    return [c](std::int64_t, std::int64_t, std::int64_t) { return c; };
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  // A constant slab with ends off the cell grid.
+  plant(Box3i{{2, 0, 5}, {27, 16, 22}}, constant(0.55f));
+  // A constant region with one NaN voxel.
+  plant(Box3i{{20, 20, 0}, {38, 40, 22}}, constant(0.8f));
+  v.at(27, 27, 10) = std::numeric_limits<float>::quiet_NaN();
+  // Infinite constants: inf + f * (inf - inf) is NaN, not inf.
+  plant(Box3i{{0, 22, 0}, {18, 40, 22}}, constant(-inf));
+  plant(Box3i{{14, 10, 23}, {28, 28, 40}}, constant(inf));
+  // A constant slab clipped by the volume's edges.
+  plant(Box3i{{0, 29, 23}, {40, 40, 40}}, constant(0.7f));
+  // A -0.0 region: trilinear blends of it return +0.0, so it must not
+  // count as constant.
+  plant(Box3i{{28, 10, 23}, {40, 28, 40}}, constant(-0.0f));
+  // +0.0 and -0.0 mixed: equal as floats, different as bits.
+  plant(Box3i{{0, 10, 23}, {14, 28, 40}},
+        [](std::int64_t x, std::int64_t y, std::int64_t z) {
+          return (x + y + z) % 2 == 0 ? 0.0f : -0.0f;
+        });
+  return v;
+}
+
+Brick copy_brick(const Brick& from, const Box3i& box) {
+  Brick b(box);
+  for (std::int64_t z = box.lo.z; z < box.hi.z; ++z) {
+    for (std::int64_t y = box.lo.y; y < box.hi.y; ++y) {
+      for (std::int64_t x = box.lo.x; x < box.hi.x; ++x) {
+        b.at(x, y, z) = from.at(x, y, z);
+      }
+    }
+  }
+  return b;
+}
+
+TEST(MacrocellTest, OnlyFiniteBitwiseConstantCellsHoldAValue) {
+  const Vec3i dims{40, 40, 40};
+  const simd::Macrocells m = simd::build_macrocells(planted_volume(dims));
+  ASSERT_EQ(m.count, (Vec3i{5, 5, 5}));
+  ASSERT_EQ(m.value.size(), 125u);
+  // Cell (cx, cy, cz) reads voxels [8c, 8c + 9) per axis, clipped.
+  const auto cell = [&](std::int64_t cx, std::int64_t cy, std::int64_t cz) {
+    return m.value[std::size_t((cz * m.count.y + cy) * m.count.x + cx)];
+  };
+  EXPECT_EQ(cell(1, 0, 1), 0.55f);
+  EXPECT_EQ(cell(2, 0, 1), 0.55f);
+  EXPECT_TRUE(std::isnan(cell(1, 1, 1)));  // apron voxel y = 16 is outside
+  EXPECT_TRUE(std::isnan(cell(1, 0, 2)));  // the slab ends at z = 22
+  EXPECT_TRUE(std::isnan(cell(0, 0, 1)));  // ... and starts at x = 2
+  EXPECT_EQ(cell(3, 3, 0), 0.8f);
+  EXPECT_EQ(cell(3, 4, 1), 0.8f);          // apron clipped at y = 40
+  EXPECT_TRUE(std::isnan(cell(3, 3, 1)));  // holds the NaN voxel
+  EXPECT_TRUE(std::isnan(cell(0, 3, 0)));  // -inf
+  EXPECT_TRUE(std::isnan(cell(2, 2, 3)));  // +inf
+  EXPECT_EQ(cell(0, 4, 3), 0.7f);
+  EXPECT_EQ(cell(4, 4, 4), 0.7f);          // clipped on every axis
+  EXPECT_TRUE(std::isnan(cell(4, 2, 3)));  // all -0.0
+  EXPECT_TRUE(std::isnan(cell(0, 2, 3)));  // +0.0 / -0.0 mixed
+}
+
+class MacrocellEquality : public ::testing::TestWithParam<int> {};
+
+TEST_P(MacrocellEquality, PlantedCellsMatchTheScalarKernel) {
+  // Every block of the planted volume, at two tile shapes: images and
+  // per-block sample tallies must equal the scalar march bit for bit.
+  const Vec3i dims{40, 40, 40};
+  const Brick volume = planted_volume(dims);
+  const Camera cam = Camera::default_view(dims, 61, 53);
+  const TransferFunction tf = TransferFunction::supernova();
+  const Decomposition d(dims, 8);
+  par::ThreadPool pool(GetParam());
+
+  const Raycaster scalar(dims, base_config(RaycastKernel::kScalar));
+  std::int64_t constant_cells = 0;
+  for (const auto& [tw, th] : {std::pair{32, 8}, {7, 3}}) {
+    RenderConfig cfg = base_config(RaycastKernel::kSimd);
+    cfg.tile_w = tw;
+    cfg.tile_h = th;
+    const Raycaster vec(dims, cfg);
+    for (std::int64_t b = 0; b < d.num_blocks(); ++b) {
+      const Box3i owned = d.block_box(b);
+      const Brick brick = copy_brick(volume, d.ghost_box(b, 1));
+      for (const float v : simd::build_macrocells(brick).value) {
+        constant_cells += std::isnan(v) ? 0 : 1;
+      }
+      SCOPED_TRACE("block " + std::to_string(b) + " tile " +
+                   std::to_string(tw) + "x" + std::to_string(th));
+      expect_identical(scalar.render_block(brick, owned, cam, tf, &pool),
+                       vec.render_block(brick, owned, cam, tf, &pool));
+    }
+  }
+  EXPECT_GT(constant_cells, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, MacrocellEquality, ::testing::Values(1, 4));
 
 TEST(SimdKernelTest, RenderFullMatchesScalarAndReportsSamples) {
   const Vec3i dims{24, 24, 24};
